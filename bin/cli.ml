@@ -12,26 +12,7 @@ open Cmdliner
 (* --- value conversions --------------------------------------------- *)
 
 let sampling_conv =
-  let parse s =
-    let fail () = Error (`Msg (Printf.sprintf "bad sampling spec %S" s)) in
-    match String.lowercase_ascii s with
-    | "none" | "instr-only" -> Ok Sampling.never
-    | "timer" -> Ok Sampling.timer_based
-    | spec -> (
-        (* pep:SAMPLES:STRIDE or ag:SAMPLES:STRIDE *)
-        match String.split_on_char ':' spec with
-        | [ "pep"; a; b ] -> (
-            match (int_of_string_opt a, int_of_string_opt b) with
-            | Some samples, Some stride when samples > 0 && stride > 0 ->
-                Ok (Sampling.pep ~samples ~stride)
-            | _ -> fail ())
-        | [ "ag"; a; b ] -> (
-            match (int_of_string_opt a, int_of_string_opt b) with
-            | Some samples, Some stride when samples > 0 && stride > 0 ->
-                Ok (Sampling.arnold_grove ~samples ~stride)
-            | _ -> fail ())
-        | _ -> fail ())
-  in
+  let parse s = Result.map_error (fun msg -> `Msg msg) (Sampling.parse s) in
   let print ppf c = Fmt.string ppf (Sampling.name c) in
   Arg.conv (parse, print)
 
@@ -39,12 +20,13 @@ let sampling_conv =
 
 let sampling_arg =
   let doc =
-    "Sampling configuration: $(b,pep:SAMPLES:STRIDE), $(b,ag:SAMPLES:STRIDE), \
-     $(b,timer), or $(b,instr-only)."
+    "Sampling configuration: $(b,PEP\\(SAMPLES,STRIDE\\)) or \
+     $(b,pep:SAMPLES:STRIDE), $(b,AG\\(SAMPLES,STRIDE\\)) or \
+     $(b,ag:SAMPLES:STRIDE), $(b,timer), or $(b,instr-only)."
   in
   Arg.(
     value
-    & opt sampling_conv (Sampling.pep ~samples:64 ~stride:17)
+    & opt sampling_conv Sampling.default
     & info [ "sampling" ] ~docv:"SPEC" ~doc)
 
 let seed_arg =

@@ -576,10 +576,11 @@ let top_cmd =
 (* --- check --------------------------------------------------------- *)
 
 (* Deep mode's transform-validation sweep: replay the workload under
-   every transform configuration and both engines with the driver's
-   translation validation plus dataflow lints on, and collect what the
-   driver recorded.  Labels name the configuration so a rejection says
-   exactly which transform under which engine broke. *)
+   PEP(64,17) in every transform configuration and both engines with
+   the driver's translation validation, dataflow lints and baked-plan
+   audit on, and collect what the driver recorded.  Labels name the
+   configuration so a rejection says exactly which transform under
+   which engine broke. *)
 let deep_transform_configs =
   [
     ("base", false, false);
@@ -595,7 +596,14 @@ let deep_sweep ~size ~seed (w : Workload.t) =
       List.map
         (fun (key, inline, unroll) ->
           let config =
-            { Exp_harness.default with inline; unroll; deep = true; engine }
+            {
+              Exp_harness.default with
+              profiling = Exp_harness.pep_default;
+              inline;
+              unroll;
+              deep = true;
+              engine;
+            }
           in
           let r = Exp_harness.replay env config in
           let label =
@@ -732,11 +740,19 @@ let check_cmd =
               deep_sweep ~size:(scaled w) ~seed w
           | Some _ | None -> []
         in
-        let sweep_errs = ref 0 in
+        let sweep_errs = ref 0 and n_instr = ref 0 in
         List.iter
           (fun (cfg, ds) ->
             let errs = Pep_check.errors ds in
             sweep_errs := !sweep_errs + List.length errs;
+            (* baked-plan audits: one per method compile in the sweep *)
+            n_instr :=
+              !n_instr
+              + List.length
+                  (List.filter
+                     (fun (d : Pep_check.diagnostic) ->
+                       d.pass = "instr" && d.severity = Pep_check.Info)
+                     ds);
             List.iter
               (fun d -> Fmt.pr "[%s] %a@." cfg Pep_check.pp_diagnostic d)
               errs)
@@ -760,7 +776,7 @@ let check_cmd =
         in
         bench_rows :=
           (label, Program.n_methods program, static_s, sweep_s,
-           List.length sweep, n_err, n_warn, n_fusion)
+           List.length sweep, n_err, n_warn, n_fusion, !n_instr)
           :: !bench_rows;
         if n_err > 0 then begin
           failed := true;
@@ -786,12 +802,14 @@ let check_cmd =
           (Unix.gettimeofday () -. t_start);
         let rows = List.rev !bench_rows in
         List.iteri
-          (fun j (label, methods, static_s, sweep_s, configs, errs, warns, fus) ->
+          (fun j
+               (label, methods, static_s, sweep_s, configs, errs, warns, fus, instr) ->
             Printf.fprintf oc
               "    { \"name\": \"%s\", \"methods\": %d, \"static_s\": %.3f, \
                \"sweep_s\": %.3f, \"sweep_configs\": %d, \"errors\": %d, \
-               \"warnings\": %d, \"fusion_tables\": %d }%s\n"
-              label methods static_s sweep_s configs errs warns fus
+               \"warnings\": %d, \"fusion_tables\": %d, \"baked_plans\": %d \
+               }%s\n"
+              label methods static_s sweep_s configs errs warns fus instr
               (if j = List.length rows - 1 then "" else ","))
           rows;
         Printf.fprintf oc "  ]\n}\n";

@@ -20,8 +20,9 @@ let () =
   let perfect = Profiler.perfect_edge st0 in
   ignore (Interp.run (Interp.compose (Tick.hooks ()) perfect.Profiler.ehooks) st0);
 
-  (* partial-path sampler: plans provide the always-on register updates;
-     on_register hands us the live value at every yieldpoint *)
+  (* partial-path sampler: plans provide the always-on register updates
+     (and their cycle costs); a mirror of the register, kept per live
+     call depth, hands us its value at every yieldpoint *)
   let st = Machine.create ~seed program in
   let plans =
     Profile_hooks.make_plans ~mode:Dag.Loop_header
@@ -32,7 +33,7 @@ let () =
   let samples = ref 0 and unusable = ref 0 in
   (* burst sampling, PEP-style, but at arbitrary yieldpoints *)
   let sampler = Sampling.create (Sampling.pep ~samples:64 ~stride:17) in
-  let on_register (st : Machine.t) (frame : Interp.frame) blk ~r =
+  let sample (st : Machine.t) (frame : Interp.frame) blk ~r =
     if st.yield_flag then begin
       Sampling.activate sampler;
       Machine.rearm_timer st
@@ -58,10 +59,46 @@ let () =
           | exception Invalid_argument _ -> incr unusable)
     end
   in
+  let regs = Array.make (Interp.max_depth + 1) 0 in
+  let mirror =
+    {
+      Interp.on_entry =
+        Some
+          (fun (st : Machine.t) (frame : Interp.frame) ->
+            if Option.is_some plans.(frame.fmeth) then regs.(st.depth) <- 0);
+      on_exit = None;
+      on_edge =
+        Some
+          (fun (st : Machine.t) (frame : Interp.frame) ~src ~idx ~dst:_ ->
+            match plans.(frame.fmeth) with
+            | Some plan -> (
+                match plan.Instrument.edge_steps.(src).(idx) with
+                | Some { Instrument.add; reset; _ } ->
+                    regs.(st.depth) <-
+                      (if reset >= 0 then reset else regs.(st.depth) + add)
+                | None -> ())
+            | None -> ());
+      (* runs before the plan's own path-end step, so [r] is the live
+         mid-path value; then mirror that step *)
+      on_yieldpoint =
+        Some
+          (fun (st : Machine.t) (frame : Interp.frame) blk ->
+            match plans.(frame.fmeth) with
+            | Some plan -> (
+                sample st frame blk ~r:regs.(st.depth);
+                match plan.Instrument.path_end.(blk) with
+                | Some { Instrument.badd; breset } ->
+                    regs.(st.depth) <-
+                      (if breset >= 0 then breset else regs.(st.depth) + badd)
+                | None -> ())
+            | None -> ());
+    }
+  in
   let hooks =
-    Profile_hooks.path_hooks ~on_register ~plans ~count_cost:`None
-      ~on_path_end:(fun _ _ ~path_id:_ -> ())
-      ()
+    Interp.compose mirror
+      (Profile_hooks.path_hooks ~plans ~count_cost:`None
+         ~on_path_end:(fun _ _ ~path_id:_ -> ())
+         ())
   in
   ignore (Interp.run hooks st);
 

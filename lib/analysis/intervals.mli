@@ -9,7 +9,7 @@
 
     Two consumers matter beyond linting: {!justify} independently
     re-derives the operand-stack discipline that lets
-    [lib/runtime/codegen.ml] use unchecked array accesses for the stack
+    [lib/engine/codegen.ml] use unchecked array accesses for the stack
     and locals, and {!check_fold} validates claimed constant folds
     (rejecting any whose constant the analysis cannot confirm). *)
 

@@ -1292,6 +1292,133 @@ let validate_fusion ~(witness : Fusion.witness) (m : Method.t) =
   end;
   finish ctx
 
+(* --- baked instrumentation validation ------------------------------ *)
+
+(* Validate the instrumentation an engine compiled into a body against
+   the plan it claims to bake, re-deriving every expectation from the
+   bytecode and the plan rather than from the engine's tables: each
+   transfer's destination and edge-counter branch from the block's
+   terminator, its register step from [plan.edge_steps] (absent for
+   block ids beyond the plan, as the live read ignores them), every
+   successor edge compiled exactly once, and the path end of every
+   block from [plan.path_end].  Steps compare by the operations they
+   execute (add when nonzero, count, reset when non-negative). *)
+let validate_instr ~(witness : Instrument.witness) ~plan (m : Method.t) =
+  let ctx = new_ctx "instr" in
+  let name = m.Method.name in
+  let nblocks = Array.length m.Method.blocks in
+  (match (witness.Instrument.wplan, plan) with
+  | None, None -> ()
+  | Some a, Some b when a == b -> ()
+  | _ ->
+      report ctx Error (Method_loc name)
+        "baked plan is not the installed plan (stale or missing)");
+  let ops = function
+    | None -> (0, false, -1)
+    | Some { Instrument.add; count; reset } -> (add, count, max reset (-1))
+  in
+  let seen = Array.make (2 * nblocks) 0 in
+  List.iter
+    (fun (t : Instrument.baked_transfer) ->
+      let src = t.Instrument.tsrc and idx = t.Instrument.tidx in
+      if src < 0 || src >= nblocks || idx < 0 || idx > 1 then
+        report ctx Error (Method_loc name)
+          "stale block id: transfer from B%d (arm %d) outside a body of %d \
+           blocks"
+          src idx nblocks
+      else begin
+        let loc = Edge_loc (name, src, t.Instrument.tdst) in
+        seen.((2 * src) + idx) <- seen.((2 * src) + idx) + 1;
+        let dst, branch =
+          match (m.Method.blocks.(src).Method.term, idx) with
+          | Method.Jmp d, 0 -> (d, -1)
+          | Method.Br { on_true; branch; _ }, 0 -> (on_true, branch)
+          | Method.Br { on_false; branch; _ }, _ -> (on_false, branch)
+          | Method.Jmp _, _ | Method.Ret, _ -> (-1, -1)
+        in
+        if dst < 0 then
+          report ctx Error loc "stale block id: B%d has no successor %d" src idx
+        else if t.Instrument.tdst <> dst then
+          report ctx Error loc
+            "stale block id: arm %d of B%d jumps to B%d, the body says B%d" idx
+            src t.Instrument.tdst dst;
+        if t.Instrument.tbranch <> branch then
+          report ctx Error loc "edge counter bumps branch %d, the body says %d"
+            t.Instrument.tbranch branch;
+        let expected =
+          match plan with
+          | Some p when src < Array.length p.Instrument.edge_steps ->
+              p.Instrument.edge_steps.(src).(idx)
+          | Some _ | None -> None
+        in
+        let ba, bc, br = ops t.Instrument.tstep
+        and ea, ec, er = ops expected in
+        if ba <> ea then
+          report ctx Error loc "wrong add: baked r += %d, plan r += %d" ba ea;
+        if bc <> ec then
+          report ctx Error loc "%s path count"
+            (if ec then "dropped" else "spurious");
+        if br <> er then
+          report ctx Error loc "wrong reset: baked r = %d, plan r = %d" br er
+      end)
+    witness.Instrument.wtransfers;
+  Array.iteri
+    (fun b (blk : Method.block) ->
+      let arms =
+        match blk.Method.term with
+        | Method.Ret -> 0
+        | Method.Jmp _ -> 1
+        | Method.Br _ -> 2
+      in
+      for idx = 0 to 1 do
+        let n = seen.((2 * b) + idx) in
+        if idx < arms && n <> 1 then
+          report ctx Error (Block_loc (name, b))
+            "arm %d compiled %d times (expected once)" idx n
+        else if idx >= arms && n > 0 then
+          report ctx Error (Block_loc (name, b))
+            "arm %d compiled but the block has %d successor(s)" idx arms
+      done)
+    m.Method.blocks;
+  let ends = witness.Instrument.wpath_ends in
+  if Array.length ends <> nblocks then
+    report ctx Error (Method_loc name)
+      "path ends cover %d blocks, the body has %d" (Array.length ends) nblocks
+  else
+    Array.iteri
+      (fun b baked ->
+        let expected =
+          match plan with
+          | Some p when b < Array.length p.Instrument.path_end ->
+              p.Instrument.path_end.(b)
+          | Some _ | None -> None
+        in
+        let loc = Block_loc (name, b) in
+        match (baked, expected) with
+        | None, None -> ()
+        | Some _, None -> report ctx Error loc "spurious path end"
+        | None, Some _ -> report ctx Error loc "dropped path end"
+        | Some e, Some x ->
+            if e.Instrument.badd <> x.Instrument.badd then
+              report ctx Error loc "wrong path-end add: baked %d, plan %d"
+                e.Instrument.badd x.Instrument.badd;
+            if e.Instrument.breset <> x.Instrument.breset then
+              report ctx Error loc "wrong path-end reset: baked %d, plan %d"
+                e.Instrument.breset x.Instrument.breset)
+      ends;
+  let steps =
+    List.length
+      (List.filter
+         (fun (t : Instrument.baked_transfer) -> t.Instrument.tstep <> None)
+         witness.Instrument.wtransfers)
+  in
+  report ctx Info (Method_loc name)
+    "baked plan valid: %d transfer(s), %d register step(s), %d path end(s)"
+    (List.length witness.Instrument.wtransfers)
+    steps
+    (Array.fold_left (fun n e -> if e = None then n else n + 1) 0 ends);
+  finish ctx
+
 (* --- whole-program deep driver ------------------------------------- *)
 
 let check_program_deep (p : Program.t) =

@@ -180,7 +180,7 @@ val lint_liveness : Method.t -> diagnostic list
 val lint_intervals : Program.t -> Method.t -> diagnostic list
 
 (** Independent justification of the unchecked array operations the
-    threaded engine emits (see [lib/runtime/codegen.ml]): re-derives by
+    threaded engine emits (see [lib/engine/codegen.ml]): re-derives by
     abstract interpretation that the operand stack never underflows nor
     exceeds [max_stack] (default: the same bound {!Machine} compiles)
     and that every local/global index is in bounds.  Any [Error] here
@@ -237,6 +237,23 @@ val validate_layout :
     [Info] line with its entry count. *)
 val validate_fusion :
   witness:Fusion.witness -> Method.t -> diagnostic list
+
+(** {1 Pass 8 — baked instrumentation validation}
+
+    Validates what an engine compiled for one method's instrumentation
+    ({!Instrument.witness}, read back from its translated code by
+    [Codegen.instr_witness]) against the installed [plan] and the body:
+    the witness baked that very plan; every transfer's destination and
+    edge-counter branch match the block's terminator (a mismatch is a
+    stale block id); every successor arm is compiled exactly once; each
+    transfer's register step executes the plan's operations (add,
+    count, reset); and each block's path end matches the plan.  Errors
+    report under pass ["instr"]; a valid plan gets one [Info] line. *)
+val validate_instr :
+  witness:Instrument.witness ->
+  plan:Instrument.t option ->
+  Method.t ->
+  diagnostic list
 
 (** {1 Whole-program deep driver}
 

@@ -7,6 +7,20 @@ type t = {
   path_end : block_event option array;
 }
 
+type baked_transfer = {
+  tsrc : int;
+  tidx : int;
+  tdst : int;
+  tstep : edge_step option;
+  tbranch : int;
+}
+
+type witness = {
+  wplan : t option;
+  wtransfers : baked_transfer list;
+  wpath_ends : block_event option array;
+}
+
 let succ_index : Cfg.edge_attr -> int = function
   | Cfg.Seq | Cfg.Taken _ -> 0
   | Cfg.Not_taken _ -> 1

@@ -36,6 +36,27 @@ type t = {
 
 val of_numbering : Numbering.t -> t
 
+(** {2 Baked plans}
+
+    What an engine compiled for one method's instrumentation, read back
+    from its translated code: one entry per control-transfer slot, and
+    the path-end events of every block.  [Pep_check.validate_instr]
+    audits it against the plan and the bytecode. *)
+
+type baked_transfer = {
+  tsrc : int;  (** source block *)
+  tidx : int;  (** successor index (0 = jump/taken, 1 = not-taken) *)
+  tdst : int;  (** destination block the slot jumps to *)
+  tstep : edge_step option;  (** register step compiled in *)
+  tbranch : int;  (** edge-counter branch id compiled in (-1 = none) *)
+}
+
+type witness = {
+  wplan : t option;  (** the plan the steps were baked from *)
+  wtransfers : baked_transfer list;  (** in slot order *)
+  wpath_ends : block_event option array;  (** per block of the body *)
+}
+
 (** Successor index of a CFG edge attribute (0 = jump/taken, 1 = not-taken). *)
 val succ_index : Cfg.edge_attr -> int
 

@@ -25,13 +25,24 @@ let plan_for ~mode ~number st midx =
 let make_plans ~mode ~number st =
   Array.init (Array.length st.Machine.methods) (plan_for ~mode ~number st)
 
+type path_layer = {
+  plans : plans;
+  count_cost : [ `Hash | `Array | `None ];
+  on_path_end : Machine.t -> Interp.frame -> path_id:int -> unit;
+}
+
+let count_cycles (cost : Cost_model.t) = function
+  | `Hash -> cost.Cost_model.count_update
+  | `Array -> cost.Cost_model.count_array
+  | `None -> 0
+
 (* Each hook layer keeps its own per-invocation path register, indexed by
    the machine's live call depth.  Layers therefore compose: PEP and a
    perfect profiler can instrument the same run without clobbering each
    other's register (a real system would allocate distinct registers or
    stack slots per instrumentation). *)
-let path_hooks ?on_register ~(plans : plans) ~count_cost ~on_path_end () =
-  let regs = ref (Array.make 1024 0) in
+let path_hooks ~plans ~count_cost ~on_path_end () =
+  let regs = ref (Array.make 16 0) in
   let slot (st : Machine.t) =
     let depth = st.depth in
     if depth >= Array.length !regs then begin
@@ -41,12 +52,8 @@ let path_hooks ?on_register ~(plans : plans) ~count_cost ~on_path_end () =
     end;
     depth
   in
-  let charge_count st =
-    let cost = (st : Machine.t).cost in
-    match count_cost with
-    | `Hash -> Machine.add_cycles st cost.Cost_model.count_update
-    | `Array -> Machine.add_cycles st cost.Cost_model.count_array
-    | `None -> ()
+  let charge_count (st : Machine.t) =
+    Machine.add_cycles st (count_cycles st.cost count_cost)
   in
   let on_entry st (frame : Interp.frame) =
     match plans.(frame.fmeth) with
@@ -85,12 +92,6 @@ let path_hooks ?on_register ~(plans : plans) ~count_cost ~on_path_end () =
     | None -> ()
     | Some plan when blk >= Array.length plan.Instrument.path_end -> ()
     | Some plan -> (
-        (* the yieldpoint passes the current register to the handler
-           (paper §4.3) even when the block is not a path end — partial
-           samples use it (§3.2) *)
-        (match on_register with
-        | Some f -> f st frame blk ~r:!regs.(slot st)
-        | None -> ());
         match plan.Instrument.path_end.(blk) with
         | None -> ()
         | Some { badd; breset } ->
@@ -114,22 +115,27 @@ let path_hooks ?on_register ~(plans : plans) ~count_cost ~on_path_end () =
     on_yieldpoint = Some on_yieldpoint;
   }
 
-let edge_count_hooks ?(charge = true) st ~(table : Edge_profile.table) =
+let branch_ids cfg =
+  Array.init (Cfg.n_blocks cfg) (fun b ->
+      match Cfg.terminator cfg b with
+      | Cfg.Branch { branch; _ } -> branch
+      | Cfg.Return | Cfg.Jump _ -> -1)
+
+let edge_count_hooks ?(charge = true) ?active st ~(table : Edge_profile.table) =
   let branch_of =
-    Array.map
-      (fun (cm : Machine.cmeth) ->
-        Array.init (Cfg.n_blocks cm.cfg) (fun b ->
-            match Cfg.terminator cm.cfg b with
-            | Cfg.Branch { branch; _ } -> branch
-            | Cfg.Return | Cfg.Jump _ -> -1))
-      st.Machine.methods
+    Array.map (fun (cm : Machine.cmeth) -> branch_ids cm.cfg) st.Machine.methods
   in
   let on_edge st (frame : Interp.frame) ~src ~idx ~dst:_ =
-    let br = branch_of.(frame.fmeth).(src) in
-    if br >= 0 then begin
-      Edge_profile.incr table.(frame.fmeth) br ~taken:(idx = 0);
-      if charge then
-        Machine.add_cycles st st.Machine.cost.Cost_model.edge_count
+    let live =
+      match active with Some a -> a.(frame.fmeth) | None -> true
+    in
+    if live then begin
+      let br = branch_of.(frame.fmeth).(src) in
+      if br >= 0 then begin
+        Edge_profile.incr table.(frame.fmeth) br ~taken:(idx = 0);
+        if charge then
+          Machine.add_cycles st st.Machine.cost.Cost_model.edge_count
+      end
     end
   in
   {

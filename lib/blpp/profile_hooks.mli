@@ -45,28 +45,50 @@ val plan_for :
 val make_plans :
   mode:Dag.mode -> number:(int -> Dag.t -> Numbering.t) -> Machine.t -> plans
 
-(** [count_cost] is charged at every path-count/path-end point:
-    [`Hash] for the paper's perfect profiler (inserted hash call),
-    [`Array] for classic BLPP's array-indexed counter, [`None] for PEP,
-    which charges sampling costs itself in [on_path_end].
+(** One path-profiling instrumentation layer, as data: the per-method
+    plans (read at every event, so plans installed or replaced while a
+    frame of the method is live take effect at its next event), the
+    cost charged at every path-count/path-end point, and the handler
+    that receives each completed path number.
 
-    [on_register] is invoked at {e every} yieldpoint of a planned method
-    with the live path-register value, before any path-end processing —
-    the "pass r to the yieldpoint handler" of paper §4.3.  Mid-path
-    values identify the partially taken path
-    ({!Reconstruct.partial_dag_path}, paper §3.2). *)
+    [count_cost] is [`Hash] for the paper's perfect profiler (inserted
+    hash call), [`Array] for classic BLPP's array-indexed counter,
+    [`None] for PEP, which charges sampling costs itself in
+    [on_path_end]. *)
+type path_layer = {
+  plans : plans;
+  count_cost : [ `Hash | `Array | `None ];
+  on_path_end : Machine.t -> Interp.frame -> path_id:int -> unit;
+}
+
+(** Cycles charged at one path-count/path-end point. *)
+val count_cycles : Cost_model.t -> [ `Hash | `Array | `None ] -> int
+
+(** The layer [{ plans; count_cost; on_path_end }] as interpreter hooks,
+    with a fresh path-register file of its own.  [Codegen] executes the
+    same layer as flat data; these closures are its oracle. *)
 val path_hooks :
-  ?on_register:
-    (Machine.t -> Interp.frame -> Cfg.block_id -> r:int -> unit) ->
   plans:plans ->
   count_cost:[ `Hash | `Array | `None ] ->
   on_path_end:(Machine.t -> Interp.frame -> path_id:int -> unit) ->
   unit ->
   Interp.hooks
 
+(** Per block of [cfg]: the branch id of its conditional terminator, or
+    -1 for blocks ending in a jump or return.  The one map from control
+    transfers to edge-profile counters, shared by {!edge_count_hooks}
+    and the engine's baked edge counter. *)
+val branch_ids : Cfg.t -> Cfg.branch_id array
+
 (** Hooks of baseline-style edge instrumentation: bump the taken or
     not-taken counter of every executed conditional branch, charging
     [edge_count] cycles each ([charge] false turns the cost off, e.g.
-    when modelling hardware-collected profiles). *)
+    when modelling hardware-collected profiles).  With [active], only
+    methods whose flag is set count (read at every edge), as the
+    baseline compiler's one-time profile stops at recompilation. *)
 val edge_count_hooks :
-  ?charge:bool -> Machine.t -> table:Edge_profile.table -> Interp.hooks
+  ?charge:bool ->
+  ?active:bool array ->
+  Machine.t ->
+  table:Edge_profile.table ->
+  Interp.hooks

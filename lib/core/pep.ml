@@ -1,5 +1,6 @@
 type t = {
   hooks : Interp.hooks;
+  layer : Profile_hooks.path_layer;
   paths : Path_profile.table;
   edges : Edge_profile.table;
   plans : Profile_hooks.plans;
@@ -32,6 +33,17 @@ let branch_count edges =
          | Cfg.Taken _ | Cfg.Not_taken _ -> true
          | Cfg.Seq -> false)
        edges)
+
+(* Count every branch arm on a sampled path.  A top-level loop rather
+   than [List.iter] over a closure, so a sample allocates nothing. *)
+let rec bump_branches table = function
+  | [] -> ()
+  | (ce : Cfg.edge) :: rest ->
+      (match ce.attr with
+      | Cfg.Taken br -> Edge_profile.incr table br ~taken:true
+      | Cfg.Not_taken br -> Edge_profile.incr table br ~taken:false
+      | Cfg.Seq -> ());
+      bump_branches table rest
 
 (* PEP-level telemetry.  Counters and instants are recorded host-side
    only; everything simulated-cycle-visible in the hooks below is
@@ -107,13 +119,7 @@ let create ?telemetry ?faults ?(eager = true)
   let sampler = Sampling.create sampling in
   let update_edges (st : Machine.t) meth path_edges =
     let before = Edge_profile.overflow edges.(meth) in
-    List.iter
-      (fun (ce : Cfg.edge) ->
-        match ce.attr with
-        | Cfg.Taken br -> Edge_profile.incr edges.(meth) br ~taken:true
-        | Cfg.Not_taken br -> Edge_profile.incr edges.(meth) br ~taken:false
-        | Cfg.Seq -> ())
-      path_edges;
+    bump_branches edges.(meth) path_edges;
     for _ = before + 1 to Edge_profile.overflow edges.(meth) do
       note_overflow st `Edge meth
     done
@@ -145,13 +151,13 @@ let create ?telemetry ?faults ?(eager = true)
          deliver a stale register value once; drop such samples. *)
       path_id >= 0 && path_id < Numbering.n_paths plan.Instrument.numbering
     then begin
-      match Path_profile.entry_opt paths.(meth) path_id with
-      | None ->
+      match Path_profile.bounded_entry paths.(meth) path_id with
+      | exception Path_profile.Full ->
           (* Fixed-size table is full: drop the sample, keep running. *)
           (match stats with Some s -> Metrics.incr s.dropped | None -> ());
           sample_instant st "overflow" meth path_id;
           note_overflow st `Path meth
-      | Some entry -> (
+      | entry -> (
           (match stats with Some s -> Metrics.incr s.taken | None -> ());
           sample_instant st "sample" meth path_id;
           entry.count <- entry.count + 1;
@@ -192,7 +198,8 @@ let create ?telemetry ?faults ?(eager = true)
       | `Take -> take_sample st frame.fmeth path_id
   in
   let hooks = Profile_hooks.path_hooks ~plans ~count_cost:`None ~on_path_end () in
-  { hooks; paths; edges; plans; sampler }
+  let layer = { Profile_hooks.plans; count_cost = `None; on_path_end } in
+  { hooks; layer; paths; edges; plans; sampler }
 
 let n_samples t =
   let taken, _, _ = Sampling.stats t.sampler in

@@ -18,6 +18,11 @@
 type t = {
   hooks : Interp.hooks;
       (** compose after a {!Tick} driver, which supplies the tick token *)
+  layer : Profile_hooks.path_layer;
+      (** the same instrumentation as data ([hooks] is its closure
+          form): the VM driver hands it to the threaded engine, which
+          executes the plans' register steps inline and calls
+          [on_path_end] only at path ends *)
   paths : Path_profile.table;
   edges : Edge_profile.table;
   plans : Profile_hooks.plans;

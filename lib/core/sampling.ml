@@ -15,6 +15,43 @@ let name c =
   if c.samples = 0 then "instr-only"
   else Fmt.str "%s(%d,%d)" (if c.full_ag then "AG" else "PEP") c.samples c.stride
 
+let default = pep ~samples:64 ~stride:17
+
+(* Accepts [name]'s output as well as the colon form. *)
+let parse s =
+  let counts a b =
+    match (int_of_string_opt (String.trim a), int_of_string_opt (String.trim b)) with
+    | Some samples, Some stride when samples > 0 && stride > 0 ->
+        Some (samples, stride)
+    | _ -> None
+  in
+  let burst kind a b =
+    match (kind, counts a b) with
+    | "pep", Some (samples, stride) -> Some (pep ~samples ~stride)
+    | "ag", Some (samples, stride) -> Some (arnold_grove ~samples ~stride)
+    | _ -> None
+  in
+  let spec = String.lowercase_ascii (String.trim s) in
+  let parsed =
+    match spec with
+    | "none" | "instr-only" -> Some never
+    | "timer" -> Some timer_based
+    | _ -> (
+        match String.split_on_char ':' spec with
+        | [ kind; a; b ] -> burst kind a b
+        | _ -> (
+            match String.index_opt spec '(' with
+            | Some i when String.ends_with ~suffix:")" spec -> (
+                let args = String.sub spec (i + 1) (String.length spec - i - 2) in
+                match String.split_on_char ',' args with
+                | [ a; b ] -> burst (String.sub spec 0 i) a b
+                | _ -> None)
+            | Some _ | None -> None))
+  in
+  match parsed with
+  | Some c -> Ok c
+  | None -> Error (Fmt.str "bad sampling spec %S" s)
+
 type t = {
   config : config;
   mutable rotation : int;  (* next initial skip amount, in [0, stride) *)

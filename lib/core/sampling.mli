@@ -29,8 +29,17 @@ val never : config
 (** Full Arnold-Grove: [AG(samples, stride)]. *)
 val arnold_grove : samples:int -> stride:int -> config
 
-(** ["PEP(64,17)"], ["AG(64,17)"]. *)
+(** ["PEP(64,17)"], ["AG(64,17)"], ["instr-only"]. *)
 val name : config -> string
+
+(** [PEP(64,17)], the paper's configuration and the CLI default. *)
+val default : config
+
+(** Parse a sampling spec, case-insensitively: {!name}'s output
+    ([PEP(S,T)], [AG(S,T)], [instr-only]), the colon forms [pep:S:T]
+    and [ag:S:T], [timer] and [none].  [parse (name c) = Ok c] for
+    every config.  [Error] carries a message naming the spec. *)
+val parse : string -> (config, string) result
 
 type t
 

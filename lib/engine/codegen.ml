@@ -8,7 +8,9 @@
    jump to the successor's first slot.  Superinstructions (profile-hot
    adjacent pairs/triples planned by {!Fusion}) collapse several slots
    into one dispatch; call sites climb a mono -> poly(4) -> megamorphic
-   inline-cache ladder keyed on {!Machine.cmeth.gen}.
+   inline-cache ladder keyed on {!Machine.cmeth.gen}.  Profiling
+   instrumentation (the baseline edge counter, a path layer's register
+   steps and path ends) is baked into the same arrays; see [set_instr].
 
    The interpreter ([Interp]) is the semantic oracle: the flat code
    performs exactly the oracle's virtual-cycle reads and writes, in the
@@ -120,7 +122,8 @@ type env = {
 (* A method body translated to flat code.  Transfer slots pack the edge
    descriptor into one word in [fb]: bit 0 = destination has a
    yieldpoint, bit 1 = successor index (0 taken / 1 not-taken), bits
-   2..21 = source block, bits 22.. = destination block; [fa] holds the
+   2..21 = source block, bits 22..41 = destination block, and above
+   them the baked instrumentation (see [step_bits]); [fa] holds the
    destination's first slot and [frows] the source's captured
    [edge_extra] row (mutated in place by [Layout.apply], so reads see
    the current penalties, as the oracle does).  [fcost] bakes the
@@ -160,6 +163,19 @@ type flat = {
   frows : int array array;
   fics : ic array;
   fwitness : Fusion.witness;  (* the fusion table compiled in *)
+  (* Baked instrumentation (see [set_instr]).  A transfer slot's edge
+     word carries the path-register step of the plan [fplan] and the
+     edge counter's branch (see [step_bits]), with the step's operands
+     in [fsadd] / [fsreset].  Per block [b], [fends.(2b)] and
+     [fends.(2b+1)] are the add and reset of the path that ends at its
+     yieldpoint; [no_end] as the reset means no path ends there.  The
+     three arrays are empty when there is no plan.  [fplan] is the physical [plans.(self)] value the steps
+     were baked from; execution uses them only while that is still
+     the installed value and reads the live plan otherwise. *)
+  fplan : Instrument.t option;
+  fsadd : int array;
+  fsreset : int array;
+  fends : int array;
 }
 
 (* Call-site inline cache: a ladder of tiers keyed on the callee
@@ -221,16 +237,44 @@ type tstats = {
   pic_demote : Metrics.counter;
 }
 
+type edge_counter = { table : Edge_profile.table; active : bool array }
+
+type instr = {
+  tick : (Machine.t -> Interp.frame -> unit) option;
+  pre : Interp.hooks;
+  edges : edge_counter option;
+  paths : Profile_hooks.path_layer option;
+  post : Interp.hooks;
+}
+
+let no_instr =
+  {
+    tick = None;
+    pre = Interp.no_hooks;
+    edges = None;
+    paths = None;
+    post = Interp.no_hooks;
+  }
+
 type t = {
   st : Machine.t;
   poll : int;
+  r_update : int;
+  edge_count : int;
   heap : int array;
   heap_n : int;
   globals : int array;
   prng : Prng.t;
   tiers : tiers;
-  mutable hooks : Interp.hooks;
+  (* the fields of [instr], see [set_instr] *)
+  mutable tick : (Machine.t -> Interp.frame -> unit) option;
+  mutable pre : Interp.hooks;
+  mutable edges : edge_counter option;
+  mutable paths : Profile_hooks.path_layer option;
+  mutable post : Interp.hooks;
   mutable hooked_mode : bool;
+  mutable count_cost : int;  (* the path layer's cycles per path count *)
+  mutable regs : int array;  (* the path layer's register, per call depth *)
   bodies : flat option array;
   hot : bool array option array;  (* fusion hot masks, per method *)
   invalid : flat;  (* never-matching cache filler for fresh ICs *)
@@ -238,7 +282,7 @@ type t = {
   stats : tstats option;
 }
 
-let dummy_frame = { Interp.fmeth = -1; fparent = -1; r = 0 }
+let dummy_frame = { Interp.fmeth = -1; fparent = -1 }
 let no_row = [| 0; 0 |]
 
 let invalid_flat (st : Machine.t) =
@@ -264,6 +308,10 @@ let invalid_flat (st : Machine.t) =
     frows = [||];
     fics = [||];
     fwitness = Fusion.empty_witness;
+    fplan = None;
+    fsadd = [||];
+    fsreset = [||];
+    fends = [||];
   }
 
 let fresh_env () =
@@ -294,30 +342,57 @@ let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
             pic_demote = Metrics.counter m "engine.pic.demote";
           }
   in
+  let cost = st.Machine.cost in
   {
     st;
-    poll = st.Machine.cost.Cost_model.yieldpoint_poll;
+    poll = cost.Cost_model.yieldpoint_poll;
+    r_update = cost.Cost_model.r_update;
+    edge_count = cost.Cost_model.edge_count;
     heap = st.Machine.heap;
     heap_n = Array.length st.Machine.heap;
     globals = st.Machine.globals;
     prng = st.Machine.prng;
     tiers;
-    hooks;
+    tick = None;
+    pre = hooks;
+    edges = None;
+    paths = None;
+    post = Interp.no_hooks;
     hooked_mode = not (is_no_hooks hooks);
+    count_cost = 0;
+    regs = Array.make 16 0;
     bodies = Array.make n None;
     hot = Array.make n None;
     invalid = invalid_flat st;
-    envs = Array.init 64 (fun _ -> fresh_env ());
+    envs = Array.init 8 (fun _ -> fresh_env ());
     stats;
   }
 
-let set_hooks eng hooks =
-  (* hooks are consulted dynamically on dispatch, so nothing cached
-     needs invalidation *)
-  eng.hooks <- hooks;
-  eng.hooked_mode <- not (is_no_hooks hooks)
+(* Everything here is consulted dynamically on dispatch (translations
+   bake plan steps under a stamp, see [flat]), so nothing cached needs
+   invalidation.  A path layer with different plans gets a fresh
+   register file, as a fresh closure layer would. *)
+let set_instr eng (i : instr) =
+  (match (i.paths, eng.paths) with
+  | Some l, Some old when l.Profile_hooks.plans == old.Profile_hooks.plans -> ()
+  | Some _, _ -> eng.regs <- Array.make 16 0
+  | None, _ -> ());
+  eng.tick <- i.tick;
+  eng.pre <- i.pre;
+  eng.edges <- i.edges;
+  eng.paths <- i.paths;
+  eng.count_cost <-
+    (match i.paths with
+    | Some l ->
+        Profile_hooks.count_cycles eng.st.Machine.cost l.Profile_hooks.count_cost
+    | None -> 0);
+  eng.post <- i.post;
+  eng.hooked_mode <-
+    Option.is_some i.tick || Option.is_some i.edges || Option.is_some i.paths
+    || (not (is_no_hooks i.pre))
+    || not (is_no_hooks i.post)
 
-let hooks eng = eng.hooks
+let set_hooks eng hooks = set_instr eng { no_instr with pre = hooks }
 let tiers eng = eng.tiers
 
 let set_hot_blocks eng midx hot =
@@ -459,12 +534,198 @@ let count_hit eng =
 let count_miss eng =
   match eng.stats with Some s -> Metrics.incr s.ic_misses | None -> ()
 
+(* --- baked instrumentation ------------------------------------------
+
+   Hooked execution runs, at every event, the tick handler (yieldpoints
+   whose poll saw the timer flag), the [pre] hooks, the edge counter,
+   the path layer and the [post] hooks, in that order: the order of
+   [Interp.compose] over the same pieces.  Each helper takes the live
+   cycle count [c] and returns it updated; [st.Machine.cycles] is
+   written only before a callout and re-read after it. *)
+
+let call_edge eng f frame c w =
+  let st = eng.st in
+  st.Machine.cycles <- c;
+  f st frame ~src:((w lsr 2) land 0xFFFFF) ~idx:((w lsr 1) land 1)
+    ~dst:((w lsr 22) land 0xFFFFF);
+  st.Machine.cycles
+
+let call_yieldpoint eng g frame c blk =
+  let st = eng.st in
+  st.Machine.cycles <- c;
+  g st frame blk;
+  st.Machine.cycles
+
+(* Above the edge descriptor (bits 0..41, see [flat]), a transfer's
+   edge word holds the step kind in bits 42..44 (1 = add, 2 = path
+   count, 4 = reset; 0 = no step) and the counted branch id plus one
+   from bit 45 (0 = no branch). *)
+let no_end = min_int
+let kind_shift = 42
+let branch_shift = 45
+let max_branch = (1 lsl (62 - branch_shift)) - 2
+let step_bits w = (w lsr kind_shift) land 7
+
+let step_kind { Instrument.add; count; reset } =
+  (if add <> 0 then 1 else 0) lor (if count then 2 else 0)
+  lor if reset >= 0 then 4 else 0
+
+(* One register step of layer [l] with kind bits [k] for the frame at
+   depth [d]: add, then the path count and its handler, then reset. *)
+let apply_step eng (l : Profile_hooks.path_layer) frame c d k add reset =
+  let c =
+    if k land 1 <> 0 then begin
+      eng.regs.(d) <- eng.regs.(d) + add;
+      c + eng.r_update
+    end
+    else c
+  in
+  let c =
+    if k land 2 <> 0 then begin
+      let st = eng.st in
+      st.Machine.cycles <- c + eng.count_cost;
+      l.Profile_hooks.on_path_end st frame ~path_id:eng.regs.(d);
+      st.Machine.cycles
+    end
+    else c
+  in
+  if k land 4 <> 0 then begin
+    eng.regs.(d) <- reset;
+    c + eng.r_update
+  end
+  else c
+
+(* A path end at a yieldpoint: a count with the end's add and reset. *)
+let end_path eng l frame c d badd breset =
+  apply_step eng l frame c d
+    ((if badd <> 0 then 1 else 0) lor 2 lor if breset >= 0 then 4 else 0)
+    badd breset
+
+(* The live reads, for a frame whose method's plan is no longer the one
+   its translation baked (re-instrumented while the frame is live): the
+   installed plan applies to the old body's block ids, out-of-range ids
+   ignored — exactly [Profile_hooks.path_hooks]. *)
+let live_edge_step eng (l : Profile_hooks.path_layer) frame c d midx w =
+  let src = (w lsr 2) land 0xFFFFF in
+  match l.Profile_hooks.plans.(midx) with
+  | Some plan when src < Array.length plan.Instrument.edge_steps -> (
+      match plan.Instrument.edge_steps.(src).((w lsr 1) land 1) with
+      | Some step ->
+          apply_step eng l frame c d (step_kind step) step.Instrument.add
+            step.Instrument.reset
+      | None -> c)
+  | Some _ | None -> c
+
+let live_path_end eng (l : Profile_hooks.path_layer) frame c d midx blk =
+  match l.Profile_hooks.plans.(midx) with
+  | Some plan when blk < Array.length plan.Instrument.path_end -> (
+      match plan.Instrument.path_end.(blk) with
+      | Some { Instrument.badd; breset } -> end_path eng l frame c d badd breset
+      | None -> c)
+  | Some _ | None -> c
+
+(* The baseline edge counter on the transfer with edge word [w], in
+   a method whose counting is active. *)
+let count_edge eng e fl c w =
+  let br = (w lsr branch_shift) - 1 in
+  if br >= 0 then begin
+    Edge_profile.incr
+      (Array.unsafe_get e.table fl.self)
+      br
+      ~taken:((w lsr 1) land 1 = 0);
+    c + eng.edge_count
+  end
+  else c
+
+(* Arrival at a yieldpoint block [blk] of [fl], poll charged. *)
+let at_yieldpoint eng fl frame c d blk =
+  let st = eng.st in
+  if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
+  let c =
+    match eng.tick with
+    | Some h when st.Machine.yield_flag ->
+        st.Machine.cycles <- c;
+        h st frame;
+        st.Machine.cycles
+    | Some _ | None -> c
+  in
+  let c =
+    match eng.pre.Interp.on_yieldpoint with
+    | None -> c
+    | Some g -> call_yieldpoint eng g frame c blk
+  in
+  let c =
+    match eng.paths with
+    | None -> c
+    | Some l ->
+        if Array.unsafe_get l.Profile_hooks.plans fl.self == fl.fplan then begin
+          match fl.fplan with
+          | None -> c
+          | Some _ ->
+              let reset = Array.unsafe_get fl.fends ((2 * blk) + 1) in
+              if reset = no_end then c
+              else
+                end_path eng l frame c d (Array.unsafe_get fl.fends (2 * blk)) reset
+        end
+        else live_path_end eng l frame c d fl.self blk
+  in
+  match eng.post.Interp.on_yieldpoint with
+  | None -> c
+  | Some g -> call_yieldpoint eng g frame c blk
+
+(* A fresh hooked frame at depth [d], with [st.Machine.cycles] current:
+   [pre] entry hooks (a lazy compiler may install the body and its
+   plan), the path layer's [r = 0], [post] entry hooks. *)
+let enter_frame eng frame d =
+  let st = eng.st in
+  (match eng.pre.Interp.on_entry with Some f -> f st frame | None -> ());
+  (match eng.paths with
+  | None -> ()
+  | Some l -> (
+      if d >= Array.length eng.regs then begin
+        let bigger = Array.make (2 * d) 0 in
+        Array.blit eng.regs 0 bigger 0 (Array.length eng.regs);
+        eng.regs <- bigger
+      end;
+      match l.Profile_hooks.plans.(frame.Interp.fmeth) with
+      | Some _ ->
+          eng.regs.(d) <- 0;
+          st.Machine.cycles <- st.Machine.cycles + eng.r_update
+      | None -> ()));
+  match eng.post.Interp.on_entry with Some f -> f st frame | None -> ()
+
+let exit_frame eng frame =
+  let st = eng.st in
+  (match eng.pre.Interp.on_exit with Some f -> f st frame | None -> ());
+  match eng.post.Interp.on_exit with Some f -> f st frame | None -> ()
+
+let count_translation eng (witness : Fusion.witness) =
+  match eng.stats with
+  | Some s ->
+      Metrics.incr s.translations;
+      let n = List.length witness.Fusion.fentries in
+      if n > 0 then begin
+        Metrics.incr ~by:n s.fuse_sites;
+        let blocks =
+          List.sort_uniq compare
+            (List.map (fun e -> e.Fusion.fblock) witness.Fusion.fentries)
+        in
+        Metrics.incr ~by:(List.length blocks) s.fuse_blocks
+      end
+  | None -> ()
+
+(* The plan a translation of [midx] bakes: the installed one, if the
+   engine runs a path layer. *)
+let live_plan eng midx =
+  match eng.paths with Some l -> l.Profile_hooks.plans.(midx) | None -> None
+
 let rec get_body eng midx =
   let cm = Array.unsafe_get eng.st.Machine.methods midx in
   match Array.unsafe_get eng.bodies midx with
-  | Some b when b.bgen = cm.Machine.gen -> b
+  | Some b when b.bgen = cm.Machine.gen && b.fplan == live_plan eng midx -> b
   | Some _ | None ->
       let b = translate eng cm midx in
+      count_translation eng b.fwitness;
       eng.bodies.(midx) <- Some b;
       b
 
@@ -484,19 +745,6 @@ and translate eng (cm : Machine.cmeth) midx : flat =
   let m = cm.Machine.meth in
   let nblocks = Array.length m.Method.blocks in
   let witness = Fusion.plan ~gen:cm.Machine.gen ~hot:(hot_mask eng midx) m in
-  (match eng.stats with
-  | Some s ->
-      Metrics.incr s.translations;
-      let n = List.length witness.Fusion.fentries in
-      if n > 0 then begin
-        Metrics.incr ~by:n s.fuse_sites;
-        let blocks =
-          List.sort_uniq compare
-            (List.map (fun e -> e.Fusion.fblock) witness.Fusion.fentries)
-        in
-        Metrics.incr ~by:(List.length blocks) s.fuse_blocks
-      end
-  | None -> ());
   let by_block = Array.make nblocks [] in
   List.iter
     (fun (e : Fusion.entry) ->
@@ -666,12 +914,54 @@ and translate eng (cm : Machine.cmeth) midx : flat =
   let opb = Array.sub opb 0 len in
   let rows = Array.sub rows 0 len in
   let cost = Array.make len 0 in
+  (* instrumentation: the installed plan's steps (guarded exactly as
+     [live_edge_step] guards the live read) and the edge counter's
+     branch ids *)
+  let plan = live_plan eng midx in
+  let branch = Profile_hooks.branch_ids cm.Machine.cfg in
+  let sized = if Option.is_none plan then 0 else len in
+  let sadd = Array.make sized 0 in
+  let sreset = Array.make sized 0 in
   List.iter
     (fun s ->
-      let dst = opb.(s) lsr 22 in
+      let w = opb.(s) in
+      let src = (w lsr 2) land 0xFFFFF and idx = (w lsr 1) land 1 in
+      let dst = w lsr 22 in
       opa.(s) <- block_pc.(dst);
-      cost.(s) <- cm.Machine.block_cost.(dst))
+      cost.(s) <- cm.Machine.block_cost.(dst);
+      let br = branch.(src) in
+      if br > max_branch then
+        invalid_arg
+          (Fmt.str "Codegen: branch id %d of %s beyond the edge word" br
+             m.Method.name);
+      let k =
+        match plan with
+        | Some p when src < Array.length p.Instrument.edge_steps -> (
+            match p.Instrument.edge_steps.(src).(idx) with
+            | Some step ->
+                sadd.(s) <- step.Instrument.add;
+                sreset.(s) <- step.Instrument.reset;
+                step_kind step
+            | None -> 0)
+        | Some _ | None -> 0
+      in
+      opb.(s) <- w lor (k lsl kind_shift) lor ((br + 1) lsl branch_shift))
     !tslots;
+  let ends =
+    match plan with
+    | None -> [||]
+    | Some p ->
+        Array.init (2 * nblocks) (fun i ->
+            let b = i / 2 in
+            match
+              if b < Array.length p.Instrument.path_end then
+                p.Instrument.path_end.(b)
+              else None
+            with
+            | Some { Instrument.badd; breset } ->
+                if i land 1 = 0 then badd else breset
+            | None -> if i land 1 = 0 then 0 else no_end)
+  in
   let e2_pc, e_row, e2_cost, e2_yp =
     let eb = m.Method.entry in
     match m.Method.blocks.(eb).Method.term with
@@ -704,6 +994,10 @@ and translate eng (cm : Machine.cmeth) midx : flat =
     frows = rows;
     fics = Array.of_list (List.rev !ic_acc);
     fwitness = witness;
+    fplan = plan;
+    fsadd = sadd;
+    fsreset = sreset;
+    fends = ends;
   }
 
 (* Inline-cache lookup off the fast path (any non-monomorphic-hit
@@ -806,21 +1100,22 @@ and lookup_ic eng ic (ccm : Machine.cmeth) =
    yieldpoint, then the yieldpoint hook), and start the dispatch loop. *)
 and run_flat eng bd env =
   let st = eng.st in
+  let d = st.Machine.depth in
   let c =
     st.Machine.cycles
     + Array.unsafe_get bd.fcm.Machine.block_cost bd.entry_block
   in
-  if bd.entry_yp then begin
-    let c = c + eng.poll in
-    st.Machine.cycles <- c;
-    if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
-    match eng.hooks.Interp.on_yieldpoint with
-    | Some g -> g st env.frame bd.entry_block
-    | None -> ()
-  end
-  else st.Machine.cycles <- c;
-  exec eng bd env.stack env.locals env.frame st.Machine.cycles
-    st.Machine.depth bd.entry_pc 0
+  let c =
+    if not bd.entry_yp then c
+    else if eng.hooked_mode then
+      at_yieldpoint eng bd env.frame (c + eng.poll) d bd.entry_block
+    else begin
+      let c = c + eng.poll in
+      if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
+      c
+    end
+  in
+  exec eng bd env.stack env.locals env.frame c d bd.entry_pc 0
 
 (* Take the transfer stored in [slot]: charge the edge's layout
    penalty and the destination block's cost (mirroring the oracle's
@@ -854,43 +1149,48 @@ and transfer eng fl stack locals frame cyc depth slot sp =
       exec eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot) sp
     end
   else begin
-    let st = eng.st in
-    let dst = w lsr 22 in
-    (match eng.hooks.Interp.on_edge with
-    | None ->
-        (* no observer between the edge charge and the block charge, so
-           both merge into one add *)
-        let c =
-          cyc
-          + Array.unsafe_get row ((w lsr 1) land 1)
-          + Array.unsafe_get fl.fcm.Machine.block_cost dst
-        in
-        if w land 1 = 0 then st.Machine.cycles <- c
-        else begin
-          let c = c + eng.poll in
-          st.Machine.cycles <- c;
-          if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
-          match eng.hooks.Interp.on_yieldpoint with
-          | Some g -> g st frame dst
-          | None -> ()
-        end
-    | Some f ->
-        let idx = (w lsr 1) land 1 in
-        st.Machine.cycles <- cyc + row.(idx);
-        f st frame ~src:((w lsr 2) land 0xFFFFF) ~idx ~dst;
-        let c = st.Machine.cycles + fl.fcm.Machine.block_cost.(dst) in
-        if w land 1 = 0 then st.Machine.cycles <- c
-        else begin
-          let c = c + eng.poll in
-          st.Machine.cycles <- c;
-          if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
-          match eng.hooks.Interp.on_yieldpoint with
-          | Some g -> g st frame dst
-          | None -> ()
-        end);
-    exec eng fl stack locals frame st.Machine.cycles depth
-      (Array.unsafe_get fl.fa slot)
-      sp
+    (* hooked mode: the oracle's [take_edge] + [enter_block] with the
+       baked instrumentation inline (see [at_yieldpoint]); [depth] is
+       the live [st.Machine.depth], the path register's index *)
+    let c = cyc + Array.unsafe_get row ((w lsr 1) land 1) in
+    let c =
+      match eng.pre.Interp.on_edge with
+      | None -> c
+      | Some f -> call_edge eng f frame c w
+    in
+    (* the common cases — counter inactive, no baked step — test
+       inline; only work calls out *)
+    let c =
+      match eng.edges with
+      | Some e when Array.unsafe_get e.active fl.self -> count_edge eng e fl c w
+      | Some _ | None -> c
+    in
+    let c =
+      match eng.paths with
+      | None -> c
+      | Some l ->
+          if Array.unsafe_get l.Profile_hooks.plans fl.self == fl.fplan then begin
+            let k = step_bits w in
+            if k = 0 then c
+            else
+              apply_step eng l frame c depth k
+                (Array.unsafe_get fl.fsadd slot)
+                (Array.unsafe_get fl.fsreset slot)
+          end
+          else live_edge_step eng l frame c depth fl.self w
+    in
+    let c =
+      match eng.post.Interp.on_edge with
+      | None -> c
+      | Some f -> call_edge eng f frame c w
+    in
+    let dst = (w lsr 22) land 0xFFFFF in
+    let c = c + Array.unsafe_get fl.fcm.Machine.block_cost dst in
+    let c =
+      if w land 1 = 0 then c
+      else at_yieldpoint eng fl frame (c + eng.poll) depth dst
+    in
+    exec eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot) sp
   end
 
 (* The dispatch loop.  [sp] points at the next free stack slot, and
@@ -1125,12 +1425,10 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
       else begin
         st.Machine.cycles <- cyc;
         st.Machine.depth <- cdepth;
-        let cframe = { Interp.fmeth = ic.cidx; fparent = fl.self; r = 0 } in
-        (* on_entry runs before the inline cache is consulted: a lazy
+        let cframe = { Interp.fmeth = ic.cidx; fparent = fl.self } in
+        (* entry hooks run before the inline cache is consulted: a lazy
            compiler hook may have just replaced the callee's body *)
-        (match eng.hooks.Interp.on_entry with
-        | Some f -> f st cframe
-        | None -> ());
+        enter_frame eng cframe cdepth;
         let ccm = Array.unsafe_get st.Machine.methods ic.cidx in
         let bd =
           if ic.g0 = ccm.Machine.gen then begin
@@ -1147,9 +1445,7 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
         done;
         cenv.frame <- cframe;
         let v = run_flat eng bd cenv in
-        (match eng.hooks.Interp.on_exit with
-        | Some f -> f st cframe
-        | None -> ());
+        exit_frame eng cframe;
         st.Machine.depth <- depth;
         Array.unsafe_set stack sp v;
         exec eng fl stack locals frame st.Machine.cycles depth (pc + 1) (sp + 1)
@@ -1393,6 +1689,54 @@ let ic_tiers eng name =
              match ic.tier with 0 -> "mono" | 1 -> "poly" | _ -> "mega")
            b.fics)
 
+let is_transfer = function
+  | JMP | BR | ARM | CMPBR_EQ | CMPBR_NE | CMPBR_LT | CMPBR_LE | CMPBR_GT
+  | CMPBR_GE ->
+      true
+  | _ -> false
+
+let instr_witness eng midx =
+  let fl = translate eng eng.st.Machine.methods.(midx) midx in
+  let transfers = ref [] in
+  for s = Array.length fl.fcode - 1 downto 0 do
+    if is_transfer fl.fcode.(s) then begin
+      let w = fl.fb.(s) in
+      let k = step_bits w in
+      let tstep =
+        if k = 0 then None
+        else
+          Some
+            {
+              Instrument.add = (if k land 1 <> 0 then fl.fsadd.(s) else 0);
+              count = k land 2 <> 0;
+              reset = (if k land 4 <> 0 then fl.fsreset.(s) else -1);
+            }
+      in
+      transfers :=
+        {
+          Instrument.tsrc = (w lsr 2) land 0xFFFFF;
+          tidx = (w lsr 1) land 1;
+          tdst = (w lsr 22) land 0xFFFFF;
+          tstep;
+          tbranch = (w lsr branch_shift) - 1;
+        }
+        :: !transfers
+    end
+  done;
+  {
+    Instrument.wplan = fl.fplan;
+    wtransfers = !transfers;
+    wpath_ends =
+      Array.init (Array.length fl.fcm.Machine.meth.Method.blocks) (fun b ->
+          if Array.length fl.fends = 0 || fl.fends.((2 * b) + 1) = no_end then None
+          else
+            Some
+              {
+                Instrument.badd = fl.fends.(2 * b);
+                breset = fl.fends.((2 * b) + 1);
+              });
+  }
+
 (* Root invocation (the engine's equivalent of [Interp.call]): args come
    in a real array, and the hook prologue/epilogue runs here once per
    invocation. *)
@@ -1403,15 +1747,15 @@ let invoke eng midx (args : int array) =
   st.Machine.depth <- depth;
   let argc = Array.length args in
   if eng.hooked_mode then begin
-    let frame = { Interp.fmeth = midx; fparent = -1; r = 0 } in
-    (match eng.hooks.Interp.on_entry with Some f -> f st frame | None -> ());
+    let frame = { Interp.fmeth = midx; fparent = -1 } in
+    enter_frame eng frame depth;
     let bd = get_body eng midx in
     let env = env_at eng depth in
     prep env bd argc;
     Array.blit args 0 env.locals 0 argc;
     env.frame <- frame;
     let r = run_flat eng bd env in
-    (match eng.hooks.Interp.on_exit with Some f -> f st frame | None -> ());
+    exit_frame eng frame;
     st.Machine.depth <- st.Machine.depth - 1;
     r
   end

@@ -5,7 +5,9 @@
     arrays — an int-coded opcode array plus parallel operand arrays —
     and executed by one tight tail-recursive loop over a program
     counter.  No per-instruction closures exist and recompiles rebuild
-    nothing but the arrays.  Two profile-guided tiers sit on top:
+    nothing but the arrays; profiling instrumentation is compiled into
+    the same arrays ({!set_instr}).  Two profile-guided tiers sit on
+    top:
 
     {b Superinstructions.}  Hot adjacent instruction pairs/triples are
     fused into single dispatched opcodes.  Hot blocks come from the
@@ -27,7 +29,7 @@
     Semantics are bit-identical to the oracle: same virtual cycle
     counts, same yieldpoint firings, same hook event order, same
     results.  Hooks are consulted dynamically (absent hooks cost one
-    predictable test), so {!set_hooks} invalidates nothing.  Block
+    predictable test), so {!set_instr} invalidates nothing.  Block
     costs and layout penalties are read through the captured compiled
     form at execution time, so in-place mutation by
     {!Machine.set_speed}, [Layout.apply] and {!Machine.clear_edge_extra}
@@ -65,12 +67,63 @@ val tier_name : tiers -> string
 val create :
   ?telemetry:Telemetry.t -> ?tiers:tiers -> ?hooks:Interp.hooks -> Machine.t -> t
 
-(** Replace the engine's hooks.  Hooks are consulted dynamically, so no
-    translated code is invalidated.  Must not be called while the
-    engine is executing. *)
+(** {2 Instrumentation}
+
+    Profiling instrumentation reaches the engine as data, not closures.
+    The edge counter and a path layer's register steps are compiled
+    into each translation next to the per-slot costs; the engine calls
+    out only at a path end (the layer's [on_path_end]), at a timer tick
+    (the [tick] handler), and to any closure hooks left in [pre] and
+    [post]. *)
+
+(** A baseline edge counter: while [active.(m)] is set (read at every
+    transfer), each conditional transfer of method [m] bumps its
+    branch's counter in [table.(m)] and charges [edge_count]. *)
+type edge_counter = { table : Edge_profile.table; active : bool array }
+
+(** Everything a hooked engine runs at each event, in this order: the
+    [tick] handler (at a yieldpoint whose poll finds the timer flag
+    set), the [pre] hooks, the edge counter, the path layer, the [post]
+    hooks.  With [Some h] for [tick], a configuration is equivalent to
+    the oracle running
+    [Tick.hooks] of [h], then [pre], {!Profile_hooks.edge_count_hooks}
+    with [~active], {!Profile_hooks.path_hooks}, and [post],
+    composed in that order with {!Interp.compose}. *)
+type instr = {
+  tick : (Machine.t -> Interp.frame -> unit) option;
+  pre : Interp.hooks;
+  edges : edge_counter option;
+  paths : Profile_hooks.path_layer option;
+  post : Interp.hooks;
+}
+
+(** No tick, no hooks, no instrumentation: bare execution. *)
+val no_instr : instr
+
+(** Install an instrumentation configuration.  Nothing translated is
+    invalidated: plans are read through a stamp (below), counters and
+    hooks at every event.  A path layer whose plans differ from the
+    current one's starts a fresh path-register file.  Must not be
+    called while the engine is executing.
+
+    A translation bakes the plan installed for its method when it was
+    made.  At each event the engine checks that the installed plan is
+    still that one (one physical compare) and otherwise reads the
+    installed plan, so a plan replaced while a frame of the method is
+    live — adaptive re-instrumentation — applies to the old body's
+    block ids at its next event, as in the oracle.  A new invocation
+    re-translates when its method's plan changed. *)
+val set_instr : t -> instr -> unit
+
+(** [set_hooks engine h] is [set_instr engine { no_instr with pre = h }]. *)
 val set_hooks : t -> Interp.hooks -> unit
 
-val hooks : t -> Interp.hooks
+(** What the engine compiles for method [midx]'s instrumentation right
+    now (current body, installed plan, current layer): pure
+    translation, no cache side effects.  Feed this to
+    [Pep_check.validate_instr]. *)
+val instr_witness : t -> int -> Instrument.witness
+
 val tiers : t -> tiers
 
 (** [set_hot_blocks engine midx hot] installs the per-block hot mask

@@ -23,7 +23,7 @@ type profiling =
 let pep_default =
   Pep_profiled
     {
-      sampling = Sampling.pep ~samples:64 ~stride:17;
+      sampling = Sampling.default;
       zero = `Hottest;
       numbering = `Smart;
     }
@@ -443,7 +443,7 @@ let replay_transformed_with_truth ?(config = { default with inline = true })
            PEP(64,17) so the truth profiler and PEP stay comparable *)
         Some
           {
-            Driver.sampling = Sampling.pep ~samples:64 ~stride:17;
+            Driver.sampling = Sampling.default;
             zero = `Hottest;
             numbering = `Smart;
           };

@@ -1,87 +1,108 @@
 type counter = { mutable taken : int; mutable not_taken : int }
 
-(* [capacity], when set, bounds the number of distinct branches counted
+(* Branch ids are small dense ints per method (the bytecode compiler
+   numbers a method's branches 0, 1, ...), so a table is an array
+   indexed by branch id, grown on demand, with [absent] in the slots of
+   ids never counted: an update is an index and a field add, and
+   allocates nothing once its counter exists.  [present] counts the
+   counters.
+
+   [capacity], when set, bounds the number of distinct branches counted
    (the fixed-size table of paper §3.2): an update that would create a
    counter past the bound is dropped and counted in [overflow].  Updates
    to already-present branches always land. *)
 type t = {
-  tbl : (Cfg.branch_id, counter) Hashtbl.t;
+  mutable slots : counter array;
+  mutable present : int;
   mutable capacity : int option;
   mutable overflow : int;
 }
 
-let create () : t = { tbl = Hashtbl.create 16; capacity = None; overflow = 0 }
+(* never handed out, never mutated *)
+let absent = { taken = 0; not_taken = 0 }
+
+let create () : t = { slots = [||]; present = 0; capacity = None; overflow = 0 }
 
 let set_capacity t capacity = t.capacity <- capacity
 let capacity t = t.capacity
 let overflow t = t.overflow
 
-let counter_for t branch =
-  match Hashtbl.find_opt t.tbl branch with
-  | Some c -> Some c
-  | None -> (
-      match t.capacity with
-      | Some cap when Hashtbl.length t.tbl >= cap ->
-          t.overflow <- t.overflow + 1;
-          None
-      | Some _ | None ->
-          let c = { taken = 0; not_taken = 0 } in
-          Hashtbl.replace t.tbl branch c;
-          Some c)
+let find t branch =
+  if branch >= 0 && branch < Array.length t.slots then t.slots.(branch)
+  else absent
 
 let add t branch ~taken n =
-  match counter_for t branch with
-  | Some c ->
-      if taken then c.taken <- c.taken + n else c.not_taken <- c.not_taken + n
-  | None -> ()
+  if branch < 0 then invalid_arg "Edge_profile.add: negative branch id";
+  let c = find t branch in
+  if c != absent then
+    if taken then c.taken <- c.taken + n else c.not_taken <- c.not_taken + n
+  else
+    match t.capacity with
+    | Some cap when t.present >= cap -> t.overflow <- t.overflow + 1
+    | Some _ | None ->
+        let len = Array.length t.slots in
+        if branch >= len then begin
+          let slots = Array.make (max (branch + 1) (2 * len)) absent in
+          Array.blit t.slots 0 slots 0 len;
+          t.slots <- slots
+        end;
+        t.slots.(branch) <-
+          (if taken then { taken = n; not_taken = 0 }
+           else { taken = 0; not_taken = n });
+        t.present <- t.present + 1
 
 let incr t branch ~taken = add t branch ~taken 1
-let counter t branch = Hashtbl.find_opt t.tbl branch
+
+let counter t branch =
+  let c = find t branch in
+  if c == absent then None else Some c
 
 let freq t branch =
-  match Hashtbl.find_opt t.tbl branch with
-  | Some c -> c.taken + c.not_taken
-  | None -> 0
+  let c = find t branch in
+  c.taken + c.not_taken
 
 let bias t branch =
-  match Hashtbl.find_opt t.tbl branch with
-  | Some c when c.taken + c.not_taken > 0 ->
-      Some (float_of_int c.taken /. float_of_int (c.taken + c.not_taken))
-  | Some _ | None -> None
+  let c = find t branch in
+  if c.taken + c.not_taken > 0 then
+    Some (float_of_int c.taken /. float_of_int (c.taken + c.not_taken))
+  else None
 
-let branch_ids t =
-  List.sort compare (Hashtbl.fold (fun b _ acc -> b :: acc) t.tbl [])
+(* ascending, as every listing below needs *)
+let fold f t acc =
+  let acc = ref acc in
+  for b = Array.length t.slots - 1 downto 0 do
+    let c = t.slots.(b) in
+    if c != absent then acc := f b c !acc
+  done;
+  !acc
 
-let entries t =
-  List.filter_map
-    (fun b ->
-      match Hashtbl.find_opt t.tbl b with
-      | Some c -> Some (b, (c.taken, c.not_taken))
-      | None -> None)
-    (branch_ids t)
-
-let total t = Hashtbl.fold (fun _ c acc -> acc + c.taken + c.not_taken) t.tbl 0
+let branch_ids t = fold (fun b _ acc -> b :: acc) t []
+let entries t = fold (fun b c acc -> (b, (c.taken, c.not_taken)) :: acc) t []
+let total t = fold (fun _ c acc -> acc + c.taken + c.not_taken) t 0
 let is_empty t = total t = 0
 
+let map_counters f t =
+  Array.map (fun c -> if c == absent then absent else f c) t.slots
+
 let copy t =
-  let dst = { (create ()) with capacity = t.capacity; overflow = t.overflow } in
-  Hashtbl.iter
-    (fun b (c : counter) ->
-      Hashtbl.replace dst.tbl b { taken = c.taken; not_taken = c.not_taken })
-    t.tbl;
-  dst
+  {
+    slots = map_counters (fun c -> { taken = c.taken; not_taken = c.not_taken }) t;
+    present = t.present;
+    capacity = t.capacity;
+    overflow = t.overflow;
+  }
 
 let clear t =
-  Hashtbl.reset t.tbl;
+  t.slots <- [||];
+  t.present <- 0;
   t.overflow <- 0
 
 let flip t =
-  let dst = create () in
-  Hashtbl.iter
-    (fun b (c : counter) ->
-      Hashtbl.replace dst.tbl b { taken = c.not_taken; not_taken = c.taken })
-    t.tbl;
-  dst
+  {
+    (create ()) with
+    slots = map_counters (fun c -> { taken = c.not_taken; not_taken = c.taken }) t;
+    present = t.present;
+  }
 
 type table = t array
 
@@ -96,14 +117,15 @@ let to_lines tbl =
   Array.iteri
     (fun mi t ->
       List.iter
-        (fun b ->
-          match Hashtbl.find_opt t.tbl b with
-          | Some c ->
-              lines := Fmt.str "%d %d %d %d" mi b c.taken c.not_taken :: !lines
-          | None -> ())
-        (branch_ids t))
+        (fun (b, (tk, nt)) ->
+          lines := Fmt.str "%d %d %d %d" mi b tk nt :: !lines)
+        (entries t))
     tbl;
   List.rev !lines
+
+(* Serialized branch ids come from bytecode, which numbers a method's
+   branches densely; a larger id is damage, not a branch. *)
+let max_branch_id = (1 lsl 24) - 1
 
 let parse_line tbl line =
   if String.trim line = "" then Ok ()
@@ -118,13 +140,15 @@ let parse_line tbl line =
             int_of_string_opt nt )
         with
         | Some mi, Some b, Some tk, Some nt
-          when mi >= 0 && mi < n_methods && tk >= 0 && nt >= 0 ->
+          when mi >= 0 && mi < n_methods && b >= 0 && b <= max_branch_id
+               && tk >= 0 && nt >= 0 ->
             add tbl.(mi) b ~taken:true tk;
             add tbl.(mi) b ~taken:false nt;
             Ok ()
         | _ ->
             Error
-              "expected a method index in range and non-negative counters")
+              "expected a method index in range, a branch id in range and \
+               non-negative counters")
     | _ -> Error "expected \"<method> <branch> <taken> <not-taken>\""
 
 let of_lines ~n_methods lines =
@@ -140,9 +164,6 @@ let of_lines ~n_methods lines =
 let pp ppf t =
   Fmt.pf ppf "@[<v>";
   List.iter
-    (fun b ->
-      match Hashtbl.find_opt t.tbl b with
-      | Some c -> Fmt.pf ppf "br%d: taken=%d not-taken=%d@," b c.taken c.not_taken
-      | None -> ())
-    (branch_ids t);
+    (fun (b, (tk, nt)) -> Fmt.pf ppf "br%d: taken=%d not-taken=%d@," b tk nt)
+    (entries t);
   Fmt.pf ppf "@]"

@@ -7,12 +7,20 @@
 
 type counter = { mutable taken : int; mutable not_taken : int }
 
-(** Per-method edge profile. *)
+(** Per-method edge profile: counters indexed by branch id (bytecode
+    numbers a method's branches densely from 0).  An update to a branch
+    already counted allocates nothing. *)
 type t
 
 val create : unit -> t
+
+(** @raise Invalid_argument on a negative branch id. *)
 val incr : t -> Cfg.branch_id -> taken:bool -> unit
+
+(** @raise Invalid_argument on a negative branch id. *)
 val add : t -> Cfg.branch_id -> taken:bool -> int -> unit
+
+(** The live counter: writes to it are writes to the profile. *)
 val counter : t -> Cfg.branch_id -> counter option
 
 (** {2 Bounded tables (degrade-don't-crash, paper §3.2)}
@@ -70,9 +78,10 @@ val to_lines : table -> string list
 val of_lines : n_methods:int -> string list -> table
 
 (** Parse one serialized line into [tbl] (blank lines are ignored);
-    [Error reason] leaves [tbl] unchanged.  Lets callers that track
-    their own line numbers (e.g. [Advice.of_lines]) report structured
-    errors instead of the [Failure] that {!of_lines} raises. *)
+    [Error reason] leaves [tbl] unchanged; so does a branch id that is
+    negative or not below 2^24.  Lets callers that track their own line
+    numbers (e.g. [Advice.of_lines]) report structured errors instead
+    of the [Failure] that {!of_lines} raises. *)
 val parse_line : table -> string -> (unit, string) result
 
 val pp : t Fmt.t

@@ -5,65 +5,73 @@ type entry = {
   mutable n_branches : int;
 }
 
+(* Keys are ints: the specialised table compares without the
+   polymorphic [compare] and hashes exactly as [Hashtbl.hash], so
+   iteration order is that of a generic table. *)
+module Tbl = Hashtbl.Make (Int)
+
 (* [capacity], when set, bounds the number of distinct paths the table
    stores (the fixed-size table of paper §3.2): an update that would
    create an entry past the bound is dropped and counted in [overflow].
    Updates to already-present paths always land. *)
 type t = {
-  tbl : (int, entry) Hashtbl.t;
+  tbl : entry Tbl.t;
   mutable capacity : int option;
   mutable overflow : int;
 }
 
-let create () : t = { tbl = Hashtbl.create 32; capacity = None; overflow = 0 }
+let create () : t = { tbl = Tbl.create 32; capacity = None; overflow = 0 }
 
 let set_capacity t capacity = t.capacity <- capacity
 let capacity t = t.capacity
 let overflow t = t.overflow
 
-let entry_opt t path_id =
-  match Hashtbl.find_opt t.tbl path_id with
-  | Some e -> Some e
-  | None -> (
-      match t.capacity with
-      | Some cap when Hashtbl.length t.tbl >= cap ->
-          t.overflow <- t.overflow + 1;
-          None
-      | Some _ | None ->
-          let e = { path_id; count = 0; edges = None; n_branches = -1 } in
-          Hashtbl.replace t.tbl path_id e;
-          Some e)
+exception Full
 
+let fresh t path_id =
+  let e = { path_id; count = 0; edges = None; n_branches = -1 } in
+  Tbl.replace t.tbl path_id e;
+  e
+
+(* Hits allocate nothing: [Tbl.find] returns the entry itself where
+   [find_opt] would box it. *)
 let entry t path_id =
-  match Hashtbl.find_opt t.tbl path_id with
-  | Some e -> e
-  | None ->
-      let e = { path_id; count = 0; edges = None; n_branches = -1 } in
-      Hashtbl.replace t.tbl path_id e;
-      e
+  match Tbl.find t.tbl path_id with
+  | e -> e
+  | exception Not_found -> fresh t path_id
+
+let bounded_entry t path_id =
+  match Tbl.find t.tbl path_id with
+  | e -> e
+  | exception Not_found -> (
+      match t.capacity with
+      | Some cap when Tbl.length t.tbl >= cap ->
+          t.overflow <- t.overflow + 1;
+          raise Full
+      | Some _ | None -> fresh t path_id)
 
 let add t path_id n =
-  match entry_opt t path_id with
-  | Some e -> e.count <- e.count + n
-  | None -> ()
+  match bounded_entry t path_id with
+  | e -> e.count <- e.count + n
+  | exception Full -> ()
 
 let incr t path_id = add t path_id 1
-let find t path_id = Hashtbl.find_opt t.tbl path_id
+let find t path_id = Tbl.find_opt t.tbl path_id
 
 let entries t =
   List.sort
     (fun a b -> compare a.path_id b.path_id)
-    (Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl [])
+    (Tbl.fold (fun _ e acc -> e :: acc) t.tbl [])
 
-let total t = Hashtbl.fold (fun _ e acc -> acc + e.count) t.tbl 0
-let n_distinct t = Hashtbl.length t.tbl
-let is_empty t = Hashtbl.length t.tbl = 0
+let total t = Tbl.fold (fun _ e acc -> acc + e.count) t.tbl 0
+let n_distinct t = Tbl.length t.tbl
+let is_empty t = Tbl.length t.tbl = 0
 
 let clear t =
-  Hashtbl.reset t.tbl;
+  Tbl.reset t.tbl;
   t.overflow <- 0
 
-let iter f t = Hashtbl.iter (fun _ e -> f e) t.tbl
+let iter f t = Tbl.iter (fun _ e -> f e) t.tbl
 
 type table = t array
 

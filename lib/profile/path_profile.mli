@@ -24,12 +24,17 @@ val find : t -> int -> entry option
 
 (** Entry, created with count 0 if absent — ignoring any capacity bound
     (ground-truth profilers are never bounded).  Bounded writers use
-    {!entry_opt}. *)
+    {!bounded_entry}.  A hit allocates nothing. *)
 val entry : t -> int -> entry
 
-(** Like {!entry}, but respects the table's {!capacity}: [None] means
-    the update was dropped and counted in {!overflow}. *)
-val entry_opt : t -> int -> entry option
+(** The table is at capacity and has no entry for the path. *)
+exception Full
+
+(** Like {!entry}, but respects the table's {!capacity}.  A hit
+    allocates nothing.
+    @raise Full when the entry is absent and the table is full; the
+    dropped update is counted in {!overflow}. *)
+val bounded_entry : t -> int -> entry
 
 (** {2 Bounded tables (degrade-don't-crash, paper §3.2)}
 

@@ -1,4 +1,4 @@
-type frame = { fmeth : int; fparent : int; mutable r : int }
+type frame = { fmeth : int; fparent : int }
 
 type hooks = {
   on_entry : (Machine.t -> frame -> unit) option;
@@ -59,7 +59,7 @@ let rec exec_method hooks (st : Machine.t) ~parent midx (src : int array) pos
     argc =
   if st.depth >= max_depth then raise (Runtime_error "call stack overflow");
   st.depth <- st.depth + 1;
-  let frame = { fmeth = midx; fparent = parent; r = 0 } in
+  let frame = { fmeth = midx; fparent = parent } in
   (* on_entry runs before the compiled form is fetched: a lazy compiler
      hook may install or replace the method body and this invocation will
      execute the fresh code, as in a JIT compiling at first invocation *)

@@ -21,10 +21,10 @@
     fresh code; [on_exit] runs after the exit block's [Ret], while the
     frame is still live. *)
 
-(** Per-invocation frame view exposed to hooks: the method index, the
-    calling method's index (-1 for the root invocation), and the
-    Ball-Larus path register. *)
-type frame = { fmeth : int; fparent : int; mutable r : int }
+(** Per-invocation frame view exposed to hooks: the method index and the
+    calling method's index (-1 for the root invocation).  Path registers
+    belong to the instrumentation layers, not the frame. *)
+type frame = { fmeth : int; fparent : int }
 
 type hooks = {
   on_entry : (Machine.t -> frame -> unit) option;

@@ -1,11 +1,13 @@
+let handler ?on_tick () (st : Machine.t) (frame : Interp.frame) =
+  Machine.add_cycles st st.cost.Cost_model.tick_handler;
+  st.tick_pending <- true;
+  (match on_tick with Some f -> f st frame | None -> ());
+  Machine.rearm_timer st
+
 let hooks ?on_tick () =
-  let on_yieldpoint (st : Machine.t) (frame : Interp.frame) _blk =
-    if st.yield_flag then begin
-      Machine.add_cycles st st.cost.Cost_model.tick_handler;
-      st.tick_pending <- true;
-      (match on_tick with Some f -> f st frame | None -> ());
-      Machine.rearm_timer st
-    end
+  let handle = handler ?on_tick () in
+  let on_yieldpoint (st : Machine.t) frame _blk =
+    if st.yield_flag then handle st frame
   in
   {
     Interp.on_entry = None;

@@ -15,6 +15,15 @@
 
 val hooks : ?on_tick:(Machine.t -> Interp.frame -> unit) -> unit -> Interp.hooks
 
+(** The handler itself: what {!hooks} runs at a yieldpoint that observes
+    the flag.  Engines that poll the flag inline call it directly. *)
+val handler :
+  ?on_tick:(Machine.t -> Interp.frame -> unit) ->
+  unit ->
+  Machine.t ->
+  Interp.frame ->
+  unit
+
 (** Method-sample counters filled by {!sampling_hooks}. *)
 type method_samples = int array
 

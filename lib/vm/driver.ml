@@ -89,7 +89,8 @@ type t = {
   mutable inlined_sites : int;
   mutable unrolled_loops : int;
   mutable checks : Pep_check.diagnostic list;  (* newest first *)
-  mutable hooks : Interp.hooks;
+  mutable hooks : Interp.hooks;  (* the oracle's closure form of [instr] *)
+  mutable instr : Codegen.instr;
   eng : Codegen.t;
   tstats : tstats option;
   mutable iterations : int;  (* completed [run] calls, for trace labels *)
@@ -160,6 +161,18 @@ let deep_verify_body d midx (cm : Machine.cmeth) =
          meth)
   end
 
+(* The instrumentation the threaded engine compiles for the method's
+   current body, audited against the installed PEP plan. *)
+let deep_verify_instr d midx =
+  if d.opts.deep_verify then begin
+    let plan =
+      match d.pep_state with Some p -> p.Pep.plans.(midx) | None -> None
+    in
+    record_checks d
+      (Pep_check.validate_instr ~witness:(Codegen.instr_witness d.eng midx)
+         ~plan (Machine.cmeth d.st midx).Machine.meth)
+  end
+
 let charge_compile d cycles =
   d.compile_cycles <- d.compile_cycles + cycles;
   Machine.add_cycles d.st cycles
@@ -207,7 +220,8 @@ let compile_baseline d midx =
             ]
           ()
   end;
-  d.states.(midx) <- Baseline
+  d.states.(midx) <- Baseline;
+  deep_verify_instr d midx
 
 let opt_profile_for d midx : Edge_profile.t =
   match d.opts.opt_profile with
@@ -360,6 +374,7 @@ let do_compile_opt d midx ~level =
       (* path ids change with the numbering; drop stale entries *)
       Path_profile.clear p.Pep.paths.(midx)
   | _ -> ());
+  deep_verify_instr d midx;
   let is_recompile =
     match d.states.(midx) with
     | Opt _ -> true
@@ -537,23 +552,21 @@ let create ?extra_hooks opts st =
       unrolled_loops = 0;
       checks = [];
       hooks = Interp.no_hooks;
+      instr = Codegen.no_instr;
       eng = Codegen.create ?telemetry:opts.telemetry ~tiers:opts.tiers st;
       tstats;
       iterations = 0;
     }
   in
-  let tick_hooks =
-    Tick.hooks
-      ~on_tick:(fun _st (frame : Interp.frame) ->
-        (match d.tstats with Some s -> Metrics.incr s.ticks | None -> ());
-        d.samples.(frame.fmeth) <- d.samples.(frame.fmeth) + 1;
-        Dcg.record d.dcg ~caller:frame.fparent ~callee:frame.fmeth;
-        (match d.opts.mode with
-        | Replay advice when Option.is_some d.opts.faults ->
-            maybe_retry_replay d advice frame.fmeth
-        | Replay _ | Adaptive _ -> ());
-        consider_promotion d frame.fmeth)
-      ()
+  let on_tick _st (frame : Interp.frame) =
+    (match d.tstats with Some s -> Metrics.incr s.ticks | None -> ());
+    d.samples.(frame.fmeth) <- d.samples.(frame.fmeth) + 1;
+    Dcg.record d.dcg ~caller:frame.fparent ~callee:frame.fmeth;
+    (match d.opts.mode with
+    | Replay advice when Option.is_some d.opts.faults ->
+        maybe_retry_replay d advice frame.fmeth
+    | Replay _ | Adaptive _ -> ());
+    consider_promotion d frame.fmeth
   in
   let lazy_compile =
     {
@@ -561,58 +574,45 @@ let create ?extra_hooks opts st =
       on_entry = Some (fun _st (frame : Interp.frame) -> ensure_compiled d frame.fmeth);
     }
   in
-  let branch_of =
-    Array.map
-      (fun (cm : Machine.cmeth) ->
-        Array.init (Cfg.n_blocks cm.cfg) (fun b ->
-            match Cfg.terminator cm.cfg b with
-            | Cfg.Branch { branch; _ } -> branch
-            | Cfg.Return | Cfg.Jump _ -> -1))
-      st.Machine.methods
+  (* Extra hooks, then the yieldpoint-poll counter: closures after the
+     instrumentation.  The driver always runs hooked (tick + lazy
+     compile at minimum), so the counter never flips the engine's
+     bare/hooked selection. *)
+  let post = Option.value extra_hooks ~default:Interp.no_hooks in
+  let post =
+    match d.tstats with
+    | Some s ->
+        Interp.compose post
+          {
+            Interp.no_hooks with
+            on_yieldpoint = Some (fun _st _frame _blk -> Metrics.incr s.polls);
+          }
+    | None -> post
   in
-  let baseline_edge =
+  (* One configuration, two forms: data for the threaded engine, the
+     equivalent closure chain for the oracle (tick, lazy compile,
+     baseline edge counter, PEP, extras, polls) *)
+  d.instr <-
     {
-      Interp.no_hooks with
-      on_edge =
-        Some
-          (fun st (frame : Interp.frame) ~src ~idx ~dst:_ ->
-            if d.baseline_active.(frame.fmeth) then begin
-              let br = branch_of.(frame.fmeth).(src) in
-              if br >= 0 then begin
-                Edge_profile.incr d.baseline_profile.(frame.fmeth) br
-                  ~taken:(idx = 0);
-                Machine.add_cycles st st.Machine.cost.Cost_model.edge_count
-              end
-            end);
-    }
+      Codegen.tick = Some (Tick.handler ~on_tick ());
+      pre = lazy_compile;
+      edges = Some { Codegen.table = d.baseline_profile; active = d.baseline_active };
+      paths = Option.map (fun p -> p.Pep.layer) pep_state;
+      post;
+    };
+  let hooks = Interp.compose (Tick.hooks ~on_tick ()) lazy_compile in
+  let hooks =
+    Interp.compose hooks
+      (Profile_hooks.edge_count_hooks ~active:d.baseline_active st
+         ~table:d.baseline_profile)
   in
-  let hooks = Interp.compose tick_hooks lazy_compile in
-  let hooks = Interp.compose hooks baseline_edge in
   let hooks =
     match pep_state with
     | Some p -> Interp.compose hooks p.Pep.hooks
     | None -> hooks
   in
-  let hooks =
-    match extra_hooks with
-    | Some h -> Interp.compose hooks h
-    | None -> hooks
-  in
-  (* The yieldpoint-poll counter rides along as one more hook.  The
-     driver always runs hooked (tick + lazy compile at minimum), so
-     composing it never flips the engine's bare/hooked selection. *)
-  let hooks =
-    match d.tstats with
-    | Some s ->
-        Interp.compose hooks
-          {
-            Interp.no_hooks with
-            on_yieldpoint = Some (fun _st _frame _blk -> Metrics.incr s.polls);
-          }
-    | None -> hooks
-  in
-  d.hooks <- hooks;
-  Codegen.set_hooks d.eng hooks;
+  d.hooks <- Interp.compose hooks post;
+  Codegen.set_instr d.eng d.instr;
   d
 
 let run d =
@@ -657,7 +657,8 @@ let unrolled_loops d = d.unrolled_loops
 let checks d = List.rev d.checks
 let add_hooks d h =
   d.hooks <- Interp.compose d.hooks h;
-  Codegen.set_hooks d.eng d.hooks
+  d.instr <- { d.instr with post = Interp.compose d.instr.post h };
+  Codegen.set_instr d.eng d.instr
 
 let precompile d =
   Program.iter_methods (fun midx _ -> ensure_compiled d midx) d.st.Machine.program

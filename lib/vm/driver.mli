@@ -122,8 +122,12 @@ val default_options : options
 
 type t
 
-(** [create ?extra_hooks options machine].  [extra_hooks] (e.g. a perfect
-    profiler's) are composed after the driver's own. *)
+(** [create ?extra_hooks options machine].  The driver's own
+    instrumentation — timer tick, lazy compilation, the baseline edge
+    counter and PEP — reaches the threaded engine as data
+    ({!Codegen.set_instr}) and the oracle as the equivalent closure
+    chain.  [extra_hooks] (e.g. a perfect profiler's) stay closures,
+    composed after the driver's own in both engines. *)
 val create : ?extra_hooks:Interp.hooks -> options -> Machine.t -> t
 
 (** Execute one iteration of the application (its main method); returns
@@ -166,6 +170,7 @@ val precompile : t -> unit
     [options.verify] is on), translation validation of each transform
     (["transval@inline"], ["transval@unroll"], ["transval@layout"]),
     the [deep_verify] dataflow lints (["liveness"], ["interval"]) and
+    baked-plan audit of every compiled method (["instr"]), and
     PEP planning failures (pass ["plan"], [Warning] marking the method
     unprofilable — a path count over the numbering limit or an
     unsupported truncation; always recorded).  Any [Error] here means an

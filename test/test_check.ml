@@ -398,25 +398,25 @@ let test_replay_checks_clean () =
    rejected with a located ["fusion"] error mentioning the broken
    invariant. *)
 
+let loop_program () =
+  Compile.program ~name:"fw" ~main:"main"
+    Ast.
+      [
+        mdef "main" ~params:[]
+          [
+            set "s" (i 0);
+            for_ "k" (i 0) (i 9)
+              [
+                if_ (eq (band (v "k") (i 3)) (i 0))
+                  [ set "s" (add (v "s") (v "k")) ]
+                  [ set "s" (sub (v "s") (i 1)) ];
+              ];
+            ret (v "s");
+          ];
+      ]
+
 let fusion_method () =
-  let p =
-    Compile.program ~name:"fw" ~main:"main"
-      Ast.
-        [
-          mdef "main" ~params:[]
-            [
-              set "s" (i 0);
-              for_ "k" (i 0) (i 9)
-                [
-                  if_ (eq (band (v "k") (i 3)) (i 0))
-                    [ set "s" (add (v "s") (v "k")) ]
-                    [ set "s" (sub (v "s") (i 1)) ];
-                ];
-              ret (v "s");
-            ];
-        ]
-  in
-  let m = Program.find p "main" in
+  let m = Program.find (loop_program ()) "main" in
   let hot = Array.make (Array.length m.Method.blocks) true in
   (m, Fusion.plan ~gen:0 ~hot m)
 
@@ -536,6 +536,91 @@ let test_reject_fusion_call_block () =
     (fun d -> d.pass = "fusion" && contains d.message "forbids fusion")
     (Pep_check.validate_fusion ~witness m)
 
+(* --- baked instrumentation (pass "instr") --------------------------- *)
+
+(* The engine's readback of a classic-BLPP layer compiled into the loop
+   program: back-edge plans carry adds, a path
+   count and a reset on the cut back edge. *)
+let instr_fixture () =
+  let p = loop_program () in
+  let m = Program.find p "main" in
+  let st = Machine.create ~seed:1 p in
+  let plans =
+    Profile_hooks.make_plans ~mode:Dag.Back_edge
+      ~number:(fun _ dag -> Numbering.ball_larus dag)
+      st
+  in
+  let eng = Codegen.create st in
+  Codegen.set_instr eng
+    {
+      Codegen.no_instr with
+      paths =
+        Some
+          {
+            Profile_hooks.plans;
+            count_cost = `Array;
+            on_path_end = (fun _ _ ~path_id:_ -> ());
+          };
+      edges =
+        Some
+          {
+            Codegen.table = Edge_profile.create_table ~n_methods:1;
+            active = [| true |];
+          };
+    };
+  (m, plans.(0), Codegen.instr_witness eng 0)
+
+(* Replace the first baked transfer satisfying [pick] by [mutate] of it. *)
+let mutate_transfer pick mutate (w : Instrument.witness) =
+  let rec go = function
+    | [] -> Alcotest.fail "no baked transfer matches the mutation"
+    | t :: rest when pick t -> mutate t :: rest
+    | t :: rest -> t :: go rest
+  in
+  { w with Instrument.wtransfers = go w.Instrument.wtransfers }
+
+let instr_error what ~expect mutate =
+  let m, plan, w = instr_fixture () in
+  has_error_at what
+    (fun d -> d.pass = "instr" && contains d.message expect)
+    (Pep_check.validate_instr ~witness:(mutate w) ~plan m)
+
+let with_step f (t : Instrument.baked_transfer) =
+  { t with Instrument.tstep = Option.map f t.Instrument.tstep }
+
+let step_has f (t : Instrument.baked_transfer) =
+  match t.Instrument.tstep with Some s -> f s | None -> false
+
+let test_instr_baked_accepted () =
+  let m, plan, w = instr_fixture () in
+  if not (List.exists (step_has (fun s -> s.Instrument.count)) w.Instrument.wtransfers)
+  then Alcotest.fail "fixture bakes no path count";
+  no_errors "baked plan" (Pep_check.validate_instr ~witness:w ~plan m)
+
+let test_reject_instr_wrong_add () =
+  instr_error "wrong add" ~expect:"wrong add"
+    (mutate_transfer
+       (step_has (fun s -> s.Instrument.add <> 0))
+       (with_step (fun s -> { s with Instrument.add = s.Instrument.add + 1 })))
+
+let test_reject_instr_dropped_count () =
+  instr_error "dropped count" ~expect:"dropped path count"
+    (mutate_transfer
+       (step_has (fun s -> s.Instrument.count))
+       (with_step (fun s -> { s with Instrument.count = false })))
+
+let test_reject_instr_wrong_reset () =
+  instr_error "wrong reset" ~expect:"wrong reset"
+    (mutate_transfer
+       (step_has (fun s -> s.Instrument.reset >= 0))
+       (with_step (fun s -> { s with Instrument.reset = s.Instrument.reset + 1 })))
+
+let test_reject_instr_stale_block () =
+  instr_error "stale block id" ~expect:"stale block id"
+    (mutate_transfer
+       (fun _ -> true)
+       (fun t -> { t with Instrument.tdst = t.Instrument.tdst + 1 }))
+
 let suite =
   [
     Alcotest.test_case "suite accepted" `Quick test_suite_accepted;
@@ -573,6 +658,16 @@ let suite =
       test_reject_fusion_stale_mask;
     Alcotest.test_case "fusion: reject dropped entry" `Quick
       test_reject_fusion_dropped_entry;
+    Alcotest.test_case "instr: baked plan accepted" `Quick
+      test_instr_baked_accepted;
+    Alcotest.test_case "instr: reject wrong add" `Quick
+      test_reject_instr_wrong_add;
+    Alcotest.test_case "instr: reject dropped count" `Quick
+      test_reject_instr_dropped_count;
+    Alcotest.test_case "instr: reject wrong reset" `Quick
+      test_reject_instr_wrong_reset;
+    Alcotest.test_case "instr: reject stale block id" `Quick
+      test_reject_instr_stale_block;
     Alcotest.test_case "fusion: reject call block" `Quick
       test_reject_fusion_call_block;
   ]

@@ -23,12 +23,23 @@ let pep_profiling =
 let with_engine engine config = { config with Exp_harness.engine }
 let cfg profiling = { Exp_harness.default with Exp_harness.profiling }
 
+(* PEP degrading under faults: overrun sample handlers and a path table
+   too small for the workload's hot paths *)
+let faulted_pep =
+  {
+    (cfg pep_profiling) with
+    Exp_harness.faults = Fault_plan.parse_exn "sample-overrun=0.2,path-cap=3";
+  }
+
 let configs =
   [
     ("Base", cfg Exp_harness.Base);
     ("Pep_profiled", cfg pep_profiling);
     ("Perfect_path", cfg Exp_harness.Perfect_path);
+    ("Perfect_edge", cfg Exp_harness.Perfect_edge);
     ("Classic_blpp", cfg Exp_harness.Classic_blpp);
+    ("Instr_back_edge", cfg Exp_harness.Instr_back_edge);
+    ("Pep_faulted", faulted_pep);
   ]
 
 let meas_pp ppf (m : Exp_harness.measurement) =
@@ -49,7 +60,19 @@ let observables (r : Exp_harness.run) =
     @ (match r.ppaths with
       | Some p -> Path_profile.to_lines p.Profiler.table
       | None -> [])
+    @ (match r.pedges with
+      | Some p -> Edge_profile.to_lines p.Profiler.etable
+      | None -> [])
     @ Edge_profile.to_lines (Driver.baseline_profile r.driver)
+    @ (match r.faults with
+      | Some inj ->
+          let c = Fault_injector.counts inj in
+          [
+            Fmt.str "faults: overrun=%d dropped=%d path_overflow=%d"
+              c.Fault_injector.sample_overrun c.Fault_injector.samples_dropped
+              c.Fault_injector.path_overflow;
+          ]
+      | None -> [])
   in
   (r.meas, profile_lines)
 
@@ -131,6 +154,179 @@ let test_transform_differential () =
       check meas (name ^ " transformed measurement") om tm;
       check csl (name ^ " transformed profiles") op tp)
     [ "db"; "pmd" ]
+
+(* PEP and a perfect path profiler on the same run, the profiler's
+   closure hooks added after PEP's baked layer with [Driver.add_hooks]
+   (the shape [Exp_drift] uses): both profiles and the measurements
+   must match the oracle's. *)
+let test_composed_truth_differential () =
+  List.iter
+    (fun (name, inline) ->
+      let w = Suite.find name in
+      let env =
+        Exp_harness.make_env ~size:(max 4 (min 25 w.Workload.default_size))
+          ~seed:9 w
+      in
+      let run engine =
+        let driver, pep, truth =
+          Exp_harness.replay_transformed_with_truth
+            ~config:{ Exp_harness.default with Exp_harness.inline; engine }
+            env
+        in
+        ( (Driver.machine driver).Machine.cycles,
+          Path_profile.to_lines pep.Pep.paths
+          @ Edge_profile.to_lines pep.Pep.edges
+          @ Path_profile.to_lines truth.Profiler.table )
+      in
+      let oc, op = run `Oracle and tc, tp = run `Threaded in
+      check ci (name ^ " composed cycles") oc tc;
+      check csl (name ^ " composed profiles") op tp;
+      check cb (name ^ " truth profiled something") true (List.length tp > 0))
+    [ ("jess", false); ("db", true) ]
+
+(* A method re-instrumented while a frame of it is live: [main] runs one
+   long loop per iteration and the adaptive system opt-compiles it from
+   a timer tick inside that loop, installing a new PEP plan (and, with
+   inlining, a new body with new block ids) while the old frame keeps
+   executing its old code.  That frame's next events must use the new
+   plan against the old body's block ids, exactly as the oracle does. *)
+let test_live_reinstrumentation () =
+  let program =
+    Compile.program ~name:"live" ~main:"main"
+      [
+        mdef "main" ~params:[]
+          [
+            set "s" (i 0);
+            for_ "k" (i 0) (i 4000)
+              [
+                if_ (eq (band (v "k") (i 3)) (i 0))
+                  [ set "s" (add (v "s") (call "f" [ v "k"; v "s" ])) ]
+                  [ set "s" (sub (v "s") (i 1)) ];
+              ];
+            ret (v "s");
+          ];
+        mdef "f" ~params:[ "a"; "b" ]
+          [
+            if_ (lt (v "a") (v "b")) [ ret (add (v "a") (i 1)) ] [ ret (v "b") ];
+          ];
+      ]
+  in
+  List.iter
+    (fun inline ->
+      let run engine =
+        let cost =
+          {
+            Cost_model.default with
+            Cost_model.tick_period = Cost_model.default.Cost_model.tick_period / 50;
+          }
+        in
+        let st = Machine.create ~cost ~seed:4 program in
+        let d =
+          Driver.create
+            {
+              Driver.default_options with
+              mode = Driver.Adaptive { thresholds = [| 1; 2; 3 |] };
+              opt_profile = Driver.From_pep;
+              pep =
+                Some
+                  {
+                    Driver.sampling = Sampling.pep ~samples:4 ~stride:3;
+                    zero = `Hottest;
+                    numbering = `Smart;
+                  };
+              inline;
+              engine;
+            }
+            st
+        in
+        let r1 = Driver.run d in
+        let r2 = Driver.run d in
+        let p = Option.get (Driver.pep d) in
+        ( (r1, r2, st.Machine.cycles, Driver.recompilations d),
+          Path_profile.to_lines p.Pep.paths
+          @ Edge_profile.to_lines p.Pep.edges
+          @ Edge_profile.to_lines (Driver.baseline_profile d) )
+      in
+      let label = if inline then "inline" else "plain" in
+      let ((_, _, _, recompiles) as om), op = run `Oracle in
+      let tm, tp = run `Threaded in
+      check cb (label ^ " main re-instrumented mid-run") true (recompiles >= 1);
+      check cb (label ^ " runs, cycles, recompiles") true (om = tm);
+      check csl (label ^ " profiles") op tp)
+    [ false; true ]
+
+(* The baked configuration against its closure form, outside the driver:
+   a tick driver, an always-on edge counter and a path layer in either
+   truncation mode (back-edge plans carry path counts on edges), run by
+   the engine as data and by the oracle as [Interp.compose]d hooks. *)
+let test_baked_layer_matches_closures () =
+  List.iter
+    (fun (name, mode, count_cost) ->
+      let w = Suite.find name in
+      let program = Workload.program ~size:(max 4 (min 20 w.Workload.default_size)) w in
+      let setup () =
+        let st = Machine.create ~tick_offset:5000 ~seed:2 program in
+        let n_methods = Program.n_methods program in
+        let plans =
+          Profile_hooks.make_plans ~mode
+            ~number:(fun _ dag -> Numbering.ball_larus dag)
+            st
+        in
+        let paths = Path_profile.create_table ~n_methods in
+        let layer =
+          {
+            Profile_hooks.plans;
+            count_cost;
+            on_path_end =
+              (fun _ (f : Interp.frame) ~path_id ->
+                Path_profile.incr paths.(f.Interp.fmeth) path_id);
+          }
+        in
+        let edges =
+          {
+            Codegen.table = Edge_profile.create_table ~n_methods;
+            active = Array.make n_methods true;
+          }
+        in
+        (st, layer, edges, paths)
+      in
+      let st_o, layer_o, edges_o, paths_o = setup () in
+      let oracle =
+        Interp.compose (Tick.hooks ())
+          (Interp.compose
+             (Profile_hooks.edge_count_hooks ~active:edges_o.Codegen.active
+                st_o ~table:edges_o.Codegen.table)
+             (Profile_hooks.path_hooks ~plans:layer_o.Profile_hooks.plans
+                ~count_cost:layer_o.Profile_hooks.count_cost
+                ~on_path_end:layer_o.Profile_hooks.on_path_end ()))
+      in
+      let st_t, layer_t, edges_t, paths_t = setup () in
+      let eng = Codegen.create st_t in
+      Codegen.set_instr eng
+        {
+          Codegen.no_instr with
+          tick = Some (Tick.handler ());
+          edges = Some edges_t;
+          paths = Some layer_t;
+        };
+      let r_o = Interp.run oracle st_o and r_t = Codegen.run eng in
+      let label =
+        name ^ match mode with Dag.Back_edge -> "/back-edge" | Dag.Loop_header -> "/header"
+      in
+      check ci (label ^ " result") r_o r_t;
+      check ci (label ^ " cycles") st_o.Machine.cycles st_t.Machine.cycles;
+      check csl (label ^ " paths") (Path_profile.to_lines paths_o)
+        (Path_profile.to_lines paths_t);
+      check csl (label ^ " edges")
+        (Edge_profile.to_lines edges_o.Codegen.table)
+        (Edge_profile.to_lines edges_t.Codegen.table);
+      check cb (label ^ " paths counted") true (Path_profile.to_lines paths_t <> []))
+    [
+      ("jess", Dag.Back_edge, `Array);
+      ("db", Dag.Back_edge, `Array);
+      ("jess", Dag.Loop_header, `Hash);
+      ("compress", Dag.Loop_header, `None);
+    ]
 
 (* --------------------- engine-specific contracts --------------------- *)
 
@@ -466,6 +662,12 @@ let suite =
         test_adaptive_differential;
       Alcotest.test_case "differential: inline+unroll" `Quick
         test_transform_differential;
+      Alcotest.test_case "differential: PEP + perfect path composed" `Quick
+        test_composed_truth_differential;
+      Alcotest.test_case "differential: plan replaced under a live frame"
+        `Quick test_live_reinstrumentation;
+      Alcotest.test_case "baked layer matches its closure form" `Quick
+        test_baked_layer_matches_closures;
       Alcotest.test_case "engine matches oracle (tiny)" `Quick
         test_engine_matches_oracle;
       Alcotest.test_case "set_speed invalidates inline caches" `Quick

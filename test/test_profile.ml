@@ -37,7 +37,15 @@ let test_edge_profile_serialize () =
   let tbl' = Edge_profile.of_lines ~n_methods:3 lines in
   check Alcotest.(list string) "roundtrip" lines (Edge_profile.to_lines tbl');
   check ci "total preserved" (Edge_profile.table_total tbl)
-    (Edge_profile.table_total tbl')
+    (Edge_profile.table_total tbl');
+  (* branch ids index the table: negative or absurd ids are damage *)
+  List.iter
+    (fun line ->
+      check Alcotest.bool ("rejects " ^ line) true
+        (Result.is_error (Edge_profile.parse_line tbl' line)))
+    [ "0 -1 1 1"; "0 16777216 1 1" ];
+  check Alcotest.(list string) "rejected lines change nothing" lines
+    (Edge_profile.to_lines tbl')
 
 let test_path_profile () =
   let p = Path_profile.create () in

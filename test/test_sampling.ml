@@ -72,6 +72,41 @@ let test_names () =
   check Alcotest.string "never name" "instr-only" (Sampling.name Sampling.never);
   check Alcotest.string "timer name" "PEP(1,1)" (Sampling.name Sampling.timer_based)
 
+(* Every textual form the CLI prints must parse back: [--help] shows
+   the default as [Sampling.name Sampling.default]. *)
+let test_parse_round_trip () =
+  let config =
+    Alcotest.testable
+      (fun ppf c -> Fmt.string ppf (Sampling.name c))
+      ( = )
+  in
+  let parses label expected text =
+    match Sampling.parse text with
+    | Ok c -> check config (label ^ ": " ^ text) expected c
+    | Error msg -> Alcotest.failf "%s: %S rejected: %s" label text msg
+  in
+  List.iter
+    (fun (label, c) ->
+      parses label c (Sampling.name c);
+      parses label c (String.lowercase_ascii (Sampling.name c)))
+    [
+      ("pep", Sampling.pep ~samples:64 ~stride:17);
+      ("pep", Sampling.pep ~samples:3 ~stride:1);
+      ("ag", Sampling.arnold_grove ~samples:4 ~stride:2);
+      ("timer", Sampling.timer_based);
+      ("instr-only", Sampling.never);
+      ("cli default", Sampling.default);
+    ];
+  parses "colon form" (Sampling.pep ~samples:64 ~stride:17) "pep:64:17";
+  parses "colon form" (Sampling.arnold_grove ~samples:8 ~stride:3) "ag:8:3";
+  parses "timer" Sampling.timer_based "timer";
+  parses "none" Sampling.never "none";
+  List.iter
+    (fun bad ->
+      check Alcotest.bool ("rejects " ^ bad) true
+        (Result.is_error (Sampling.parse bad)))
+    [ "PEP(0,17)"; "pep:0:5"; "PEP(64)"; "PEP(64,17"; "XYZ(1,1)"; "ag:1:0"; "" ]
+
 let suite =
   [
     Alcotest.test_case "timer-based" `Quick test_timer_based;
@@ -81,4 +116,5 @@ let suite =
     Alcotest.test_case "pending mid-burst" `Quick test_pending_mid_burst;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "names" `Quick test_names;
+    Alcotest.test_case "parse (name c) = c" `Quick test_parse_round_trip;
   ]
