@@ -931,15 +931,6 @@ let lint_edge_profile ?(exact = true) cfg profile =
     end
   end
 
-let branch_count edges =
-  List.length
-    (List.filter
-       (fun (ce : Cfg.edge) ->
-         match ce.attr with
-         | Cfg.Taken _ | Cfg.Not_taken _ -> true
-         | Cfg.Seq -> false)
-       edges)
-
 let lint_path_profile ?expected_total numbering profile =
   let ctx = new_ctx "profile" in
   let name = Cfg.name (Dag.cfg (Numbering.dag numbering)) in
@@ -965,10 +956,16 @@ let lint_path_profile ?expected_total numbering profile =
               report ctx Error (Path_loc (name, e.path_id))
                 "memoized expansion disagrees with P-DAG reconstruction"
         | None -> ());
-        if e.n_branches >= 0 && e.n_branches <> branch_count expected then
-          report ctx Error (Path_loc (name, e.path_id))
-            "memoized branch length %d; the path has %d branch(es)" e.n_branches
-            (branch_count expected)
+        if e.n_branches >= 0 then begin
+          let arms = Path_profile.arms_of expected in
+          if e.n_branches <> Array.length arms then
+            report ctx Error (Path_loc (name, e.path_id))
+              "memoized branch length %d; the path has %d branch(es)"
+              e.n_branches (Array.length arms)
+          else if e.arms <> arms then
+            report ctx Error (Path_loc (name, e.path_id))
+              "memoized branch arms disagree with P-DAG reconstruction"
+        end
       end)
     profile;
   (match expected_total with

@@ -29,6 +29,7 @@ type path_layer = {
   plans : plans;
   count_cost : [ `Hash | `Array | `None ];
   on_path_end : Machine.t -> Interp.frame -> path_id:int -> unit;
+  armed : bool ref;
 }
 
 let count_cycles (cost : Cost_model.t) = function

@@ -46,19 +46,28 @@ val make_plans :
   mode:Dag.mode -> number:(int -> Dag.t -> Numbering.t) -> Machine.t -> plans
 
 (** One path-profiling instrumentation layer, as data: the per-method
-    plans (read at every event, so plans installed or replaced while a
-    frame of the method is live take effect at its next event), the
-    cost charged at every path-count/path-end point, and the handler
-    that receives each completed path number.
+    plans (a plan installed or replaced while a frame of the method is
+    live takes effect at its next event; an engine running the layer
+    must be told, see [Codegen.install_plan]), the cost charged at
+    every path-count/path-end point, the handler that receives each
+    completed path number, and whether that handler is armed.
 
     [count_cost] is [`Hash] for the paper's perfect profiler (inserted
     hash call), [`Array] for classic BLPP's array-indexed counter,
     [`None] for PEP, which charges sampling costs itself in
-    [on_path_end]. *)
+    [on_path_end].
+
+    [armed] is the layer's yieldpoint flag: while [!armed] is false and
+    the machine's [tick_pending] is unset, [on_path_end] must do
+    nothing at all (charge nothing, change nothing), so an engine may
+    skip the call.  PEP keeps it set while a sampling burst is active;
+    a handler that records every path end keeps it set always.
+    {!path_hooks} ignores it and calls the handler at every path end. *)
 type path_layer = {
   plans : plans;
   count_cost : [ `Hash | `Array | `None ];
   on_path_end : Machine.t -> Interp.frame -> path_id:int -> unit;
+  armed : bool ref;
 }
 
 (** Cycles charged at one path-count/path-end point. *)

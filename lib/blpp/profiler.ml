@@ -35,20 +35,10 @@ let resolve_entry plans (table : Path_profile.table) ~meth ~path_id =
   | Some _ -> ()
   | None -> (
       match plans.(meth) with
-      | None ->
-          e.edges <- Some [];
-          e.n_branches <- 0
+      | None -> Path_profile.memoize e []
       | Some plan ->
-          let edges = Reconstruct.cfg_edges plan.Instrument.numbering path_id in
-          e.edges <- Some edges;
-          e.n_branches <-
-            List.length
-              (List.filter
-                 (fun (ce : Cfg.edge) ->
-                   match ce.attr with
-                   | Cfg.Taken _ | Cfg.Not_taken _ -> true
-                   | Cfg.Seq -> false)
-                 edges)));
+          Path_profile.memoize e
+            (Reconstruct.cfg_edges plan.Instrument.numbering path_id)));
   e
 
 let n_branches_resolver plans table ~meth ~path_id =

@@ -25,25 +25,13 @@ let smart_number_profile ?(zero = `Hottest) (profile : Edge_profile.t) dag =
 let smart_number ?zero (profile : Edge_profile.table) midx dag =
   smart_number_profile ?zero profile.(midx) dag
 
-let branch_count edges =
-  List.length
-    (List.filter
-       (fun (ce : Cfg.edge) ->
-         match ce.attr with
-         | Cfg.Taken _ | Cfg.Not_taken _ -> true
-         | Cfg.Seq -> false)
-       edges)
-
-(* Count every branch arm on a sampled path.  A top-level loop rather
-   than [List.iter] over a closure, so a sample allocates nothing. *)
-let rec bump_branches table = function
-  | [] -> ()
-  | (ce : Cfg.edge) :: rest ->
-      (match ce.attr with
-      | Cfg.Taken br -> Edge_profile.incr table br ~taken:true
-      | Cfg.Not_taken br -> Edge_profile.incr table br ~taken:false
-      | Cfg.Seq -> ());
-      bump_branches table rest
+(* Count every branch arm on a sampled path, from its memoized packed
+   arms ([Path_profile.memoize_arms]): one array loop, no allocation. *)
+let bump_branches table arms =
+  for i = 0 to Array.length arms - 1 do
+    let a = Array.unsafe_get arms i in
+    Edge_profile.incr table (a lsr 1) ~taken:(a land 1 = 1)
+  done
 
 (* PEP-level telemetry.  Counters and instants are recorded host-side
    only; everything simulated-cycle-visible in the hooks below is
@@ -117,9 +105,9 @@ let create ?telemetry ?faults ?(eager = true)
           ~meth:(meth_name st meth)
   in
   let sampler = Sampling.create sampling in
-  let update_edges (st : Machine.t) meth path_edges =
+  let update_edges (st : Machine.t) meth arms =
     let before = Edge_profile.overflow edges.(meth) in
-    bump_branches edges.(meth) path_edges;
+    bump_branches edges.(meth) arms;
     for _ = before + 1 to Edge_profile.overflow edges.(meth) do
       note_overflow st `Edge meth
     done
@@ -161,44 +149,47 @@ let create ?telemetry ?faults ?(eager = true)
           (match stats with Some s -> Metrics.incr s.taken | None -> ());
           sample_instant st "sample" meth path_id;
           entry.count <- entry.count + 1;
-          match entry.edges with
-          | Some path_edges -> update_edges st meth path_edges
-          | None ->
-              (* first sample of this path: reconstruct it from the P-DAG *)
-              let path_edges =
-                Reconstruct.cfg_edges plan.Instrument.numbering path_id
-              in
-              Machine.add_cycles st
-                (st.cost.Cost_model.reconstruct_per_edge
-                * (List.length path_edges + 1));
-              entry.edges <- Some path_edges;
-              entry.n_branches <- branch_count path_edges;
-              (match stats with
-              | Some s ->
-                  Metrics.incr s.promotions;
-                  Metrics.observe s.branches entry.n_branches
-              | None -> ());
-              update_edges st meth path_edges)
+          if entry.n_branches >= 0 then update_edges st meth entry.arms
+          else begin
+            (* first sample of this path: reconstruct it from the P-DAG *)
+            let path_edges =
+              Reconstruct.cfg_edges plan.Instrument.numbering path_id
+            in
+            Machine.add_cycles st
+              (st.cost.Cost_model.reconstruct_per_edge
+              * (List.length path_edges + 1));
+            Path_profile.memoize_arms entry path_edges;
+            (match stats with
+            | Some s ->
+                Metrics.incr s.promotions;
+                Metrics.observe s.branches entry.n_branches
+            | None -> ());
+            update_edges st meth entry.arms
+          end)
     end
     else begin
       (match stats with Some s -> Metrics.incr s.dropped | None -> ());
       sample_instant st "drop" meth path_id
     end
   in
+  (* Armed exactly while a burst is active: the sampler changes state
+     only in [on_path_end], so this is re-read at its end. *)
+  let armed = ref false in
   let on_path_end (st : Machine.t) (frame : Interp.frame) ~path_id =
     if st.tick_pending then begin
       st.tick_pending <- false;
       Sampling.activate sampler
     end;
-    if Sampling.active sampler then
-      match Sampling.step sampler with
-      | `Skip ->
-          (match stats with Some s -> Metrics.incr s.skipped | None -> ());
-          Machine.add_cycles st st.cost.Cost_model.stride_step
-      | `Take -> take_sample st frame.fmeth path_id
+    (if Sampling.active sampler then
+       match Sampling.step sampler with
+       | `Skip ->
+           (match stats with Some s -> Metrics.incr s.skipped | None -> ());
+           Machine.add_cycles st st.cost.Cost_model.stride_step
+       | `Take -> take_sample st frame.fmeth path_id);
+    armed := Sampling.active sampler
   in
   let hooks = Profile_hooks.path_hooks ~plans ~count_cost:`None ~on_path_end () in
-  let layer = { Profile_hooks.plans; count_cost = `None; on_path_end } in
+  let layer = { Profile_hooks.plans; count_cost = `None; on_path_end; armed } in
   { hooks; layer; paths; edges; plans; sampler }
 
 let n_samples t =

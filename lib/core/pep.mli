@@ -22,7 +22,8 @@ type t = {
       (** the same instrumentation as data ([hooks] is its closure
           form): the VM driver hands it to the threaded engine, which
           executes the plans' register steps inline and calls
-          [on_path_end] only at path ends *)
+          [on_path_end] only at path ends where a tick is pending or a
+          sampling burst is active (the layer's [armed] flag) *)
   paths : Path_profile.table;
   edges : Edge_profile.table;
   plans : Profile_hooks.plans;

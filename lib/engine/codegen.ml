@@ -113,12 +113,6 @@ type op =
   | STJMP
   | INCJMP
 
-type env = {
-  mutable locals : int array;
-  mutable stack : int array;
-  mutable frame : Interp.frame;
-}
-
 (* A method body translated to flat code.  Transfer slots pack the edge
    descriptor into one word in [fb]: bit 0 = destination has a
    yieldpoint, bit 1 = successor index (0 taken / 1 not-taken), bits
@@ -169,13 +163,28 @@ type flat = {
      in [fsadd] / [fsreset].  Per block [b], [fends.(2b)] and
      [fends.(2b+1)] are the add and reset of the path that ends at its
      yieldpoint; [no_end] as the reset means no path ends there.  The
-     three arrays are empty when there is no plan.  [fplan] is the physical [plans.(self)] value the steps
-     were baked from; execution uses them only while that is still
-     the installed value and reads the live plan otherwise. *)
+     three arrays are empty when there is no plan.  [fplan] is the plan
+     the steps were baked from,
+     kept for [instr_witness]; execution never consults it.  [stale] is
+     set in place by [invalidate] once a different plan is installed
+     for [self]: a stale translation ignores its baked steps and reads
+     the installed plan at every event. *)
   fplan : Instrument.t option;
   fsadd : int array;
   fsreset : int array;
   fends : int array;
+  mutable stale : bool;
+  mutable seen : int;  (* [invalidate]'s visit mark *)
+}
+
+and env = {
+  mutable locals : int array;
+  mutable stack : int array;
+  mutable frame : Interp.frame;
+  mutable body : flat;
+      (* the translation a hooked frame at this depth runs, recorded while
+         a path layer is installed (only then can [invalidate] run), so
+         [invalidate] finds live frames *)
 }
 
 (* Call-site inline cache: a ladder of tiers keyed on the callee
@@ -270,15 +279,17 @@ type t = {
   mutable tick : (Machine.t -> Interp.frame -> unit) option;
   mutable pre : Interp.hooks;
   mutable edges : edge_counter option;
-  mutable paths : Profile_hooks.path_layer option;
+  mutable layer : Profile_hooks.path_layer;  (* [no_layer] for [paths = None] *)
   mutable post : Interp.hooks;
   mutable hooked_mode : bool;
   mutable count_cost : int;  (* the path layer's cycles per path count *)
   mutable regs : int array;  (* the path layer's register, per call depth *)
+  no_layer : Profile_hooks.path_layer;  (* no plans, never armed *)
   bodies : flat option array;
   hot : bool array option array;  (* fusion hot masks, per method *)
   invalid : flat;  (* never-matching cache filler for fresh ICs *)
   mutable envs : env array;  (* frame pool, indexed by call depth *)
+  mutable epoch : int;  (* the current [invalidate] walk's mark *)
   stats : tstats option;
 }
 
@@ -312,10 +323,17 @@ let invalid_flat (st : Machine.t) =
     fsadd = [||];
     fsreset = [||];
     fends = [||];
+    stale = false;
+    seen = 0;
   }
 
-let fresh_env () =
-  { locals = Array.make 8 0; stack = Array.make 8 0; frame = dummy_frame }
+let fresh_env invalid =
+  {
+    locals = Array.make 8 0;
+    stack = Array.make 8 0;
+    frame = dummy_frame;
+    body = invalid;
+  }
 
 let is_no_hooks = function
   | { Interp.on_entry = None; on_exit = None; on_edge = None; on_yieldpoint = None }
@@ -343,6 +361,15 @@ let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
           }
   in
   let cost = st.Machine.cost in
+  let no_layer =
+    {
+      Profile_hooks.plans = Array.make n None;
+      count_cost = `None;
+      on_path_end = (fun _ _ ~path_id:_ -> ());
+      armed = ref false;
+    }
+  in
+  let invalid = invalid_flat st in
   {
     st;
     poll = cost.Cost_model.yieldpoint_poll;
@@ -356,36 +383,40 @@ let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
     tick = None;
     pre = hooks;
     edges = None;
-    paths = None;
+    layer = no_layer;
     post = Interp.no_hooks;
     hooked_mode = not (is_no_hooks hooks);
     count_cost = 0;
     regs = Array.make 16 0;
+    no_layer;
     bodies = Array.make n None;
     hot = Array.make n None;
-    invalid = invalid_flat st;
-    envs = Array.init 8 (fun _ -> fresh_env ());
+    invalid;
+    envs = Array.init 8 (fun _ -> fresh_env invalid);
+    epoch = 0;
     stats;
   }
 
-(* Everything here is consulted dynamically on dispatch (translations
-   bake plan steps under a stamp, see [flat]), so nothing cached needs
-   invalidation.  A path layer with different plans gets a fresh
-   register file, as a fresh closure layer would. *)
+(* Hooks, the tick handler and the edge counter are consulted at every
+   event; plan steps are baked into translations.  A path layer with
+   different plans therefore drops every cached translation (none is
+   live: the engine is idle) and gets a fresh register file, as a fresh
+   closure layer would.  The same plans keep both, and [install_plan]
+   keeps the translations coherent from then on. *)
 let set_instr eng (i : instr) =
-  (match (i.paths, eng.paths) with
-  | Some l, Some old when l.Profile_hooks.plans == old.Profile_hooks.plans -> ()
-  | Some _, _ -> eng.regs <- Array.make 16 0
-  | None, _ -> ());
+  if eng.st.Machine.depth > 0 then
+    invalid_arg "Codegen.set_instr: called while the engine is executing";
+  let layer = Option.value i.paths ~default:eng.no_layer in
+  if layer.Profile_hooks.plans != eng.layer.Profile_hooks.plans then begin
+    eng.regs <- Array.make 16 0;
+    Array.fill eng.bodies 0 (Array.length eng.bodies) None
+  end;
   eng.tick <- i.tick;
   eng.pre <- i.pre;
   eng.edges <- i.edges;
-  eng.paths <- i.paths;
+  eng.layer <- layer;
   eng.count_cost <-
-    (match i.paths with
-    | Some l ->
-        Profile_hooks.count_cycles eng.st.Machine.cost l.Profile_hooks.count_cost
-    | None -> 0);
+    Profile_hooks.count_cycles eng.st.Machine.cost layer.Profile_hooks.count_cost;
   eng.post <- i.post;
   eng.hooked_mode <-
     Option.is_some i.tick || Option.is_some i.edges || Option.is_some i.paths
@@ -417,7 +448,7 @@ let fused_entries eng midx =
 let env_at eng depth =
   let n = Array.length eng.envs in
   if depth >= n then begin
-    let bigger = Array.init (2 * (depth + 1)) (fun _ -> fresh_env ()) in
+    let bigger = Array.init (2 * (depth + 1)) (fun _ -> fresh_env eng.invalid) in
     Array.blit eng.envs 0 bigger 0 n;
     eng.envs <- bigger
   end;
@@ -570,9 +601,23 @@ let step_kind { Instrument.add; count; reset } =
   (if add <> 0 then 1 else 0) lor (if count then 2 else 0)
   lor if reset >= 0 then 4 else 0
 
-(* One register step of layer [l] with kind bits [k] for the frame at
-   depth [d]: add, then the path count and its handler, then reset. *)
-let apply_step eng (l : Profile_hooks.path_layer) frame c d k add reset =
+(* A path count for the frame at depth [d]: charge the layer's count
+   cost and, only when the layer is armed or a tick is pending — the
+   yieldpoint flag of paper §4 — call its handler; otherwise the handler
+   would return at once (see [Profile_hooks.path_layer]). *)
+let path_count eng frame c d =
+  let c = c + eng.count_cost in
+  let st = eng.st in
+  if !(eng.layer.Profile_hooks.armed) || st.Machine.tick_pending then begin
+    st.Machine.cycles <- c;
+    eng.layer.Profile_hooks.on_path_end st frame ~path_id:eng.regs.(d);
+    st.Machine.cycles
+  end
+  else c
+
+(* One register step with kind bits [k] for the frame at depth [d]:
+   add, then the path count, then reset. *)
+let apply_step eng frame c d k add reset =
   let c =
     if k land 1 <> 0 then begin
       eng.regs.(d) <- eng.regs.(d) + add;
@@ -580,47 +625,49 @@ let apply_step eng (l : Profile_hooks.path_layer) frame c d k add reset =
     end
     else c
   in
-  let c =
-    if k land 2 <> 0 then begin
-      let st = eng.st in
-      st.Machine.cycles <- c + eng.count_cost;
-      l.Profile_hooks.on_path_end st frame ~path_id:eng.regs.(d);
-      st.Machine.cycles
-    end
-    else c
-  in
+  let c = if k land 2 <> 0 then path_count eng frame c d else c in
   if k land 4 <> 0 then begin
     eng.regs.(d) <- reset;
     c + eng.r_update
   end
   else c
 
-(* A path end at a yieldpoint: a count with the end's add and reset. *)
-let end_path eng l frame c d badd breset =
-  apply_step eng l frame c d
-    ((if badd <> 0 then 1 else 0) lor 2 lor if breset >= 0 then 4 else 0)
-    badd breset
+(* A path end at a yieldpoint: the end's add, a count, its reset. *)
+let end_path eng frame c d badd breset =
+  let c =
+    if badd <> 0 then begin
+      eng.regs.(d) <- eng.regs.(d) + badd;
+      c + eng.r_update
+    end
+    else c
+  in
+  let c = path_count eng frame c d in
+  if breset >= 0 then begin
+    eng.regs.(d) <- breset;
+    c + eng.r_update
+  end
+  else c
 
-(* The live reads, for a frame whose method's plan is no longer the one
-   its translation baked (re-instrumented while the frame is live): the
-   installed plan applies to the old body's block ids, out-of-range ids
-   ignored — exactly [Profile_hooks.path_hooks]. *)
-let live_edge_step eng (l : Profile_hooks.path_layer) frame c d midx w =
+(* The live reads, for a stale translation (its method got a new plan
+   while the translation was reachable, see [invalidate]): the
+   installed plan applies to the translation's block ids, out-of-range
+   ids ignored — exactly [Profile_hooks.path_hooks]. *)
+let live_edge_step eng frame c d midx w =
   let src = (w lsr 2) land 0xFFFFF in
-  match l.Profile_hooks.plans.(midx) with
+  match eng.layer.Profile_hooks.plans.(midx) with
   | Some plan when src < Array.length plan.Instrument.edge_steps -> (
       match plan.Instrument.edge_steps.(src).((w lsr 1) land 1) with
       | Some step ->
-          apply_step eng l frame c d (step_kind step) step.Instrument.add
+          apply_step eng frame c d (step_kind step) step.Instrument.add
             step.Instrument.reset
       | None -> c)
   | Some _ | None -> c
 
-let live_path_end eng (l : Profile_hooks.path_layer) frame c d midx blk =
-  match l.Profile_hooks.plans.(midx) with
+let live_path_end eng frame c d midx blk =
+  match eng.layer.Profile_hooks.plans.(midx) with
   | Some plan when blk < Array.length plan.Instrument.path_end -> (
       match plan.Instrument.path_end.(blk) with
-      | Some { Instrument.badd; breset } -> end_path eng l frame c d badd breset
+      | Some { Instrument.badd; breset } -> end_path eng frame c d badd breset
       | None -> c)
   | Some _ | None -> c
 
@@ -655,19 +702,14 @@ let at_yieldpoint eng fl frame c d blk =
     | Some g -> call_yieldpoint eng g frame c blk
   in
   let c =
-    match eng.paths with
-    | None -> c
-    | Some l ->
-        if Array.unsafe_get l.Profile_hooks.plans fl.self == fl.fplan then begin
-          match fl.fplan with
-          | None -> c
-          | Some _ ->
-              let reset = Array.unsafe_get fl.fends ((2 * blk) + 1) in
-              if reset = no_end then c
-              else
-                end_path eng l frame c d (Array.unsafe_get fl.fends (2 * blk)) reset
-        end
-        else live_path_end eng l frame c d fl.self blk
+    if fl.stale then live_path_end eng frame c d fl.self blk
+    else
+      let ends = fl.fends in
+      if Array.length ends = 0 then c
+      else
+        let reset = Array.unsafe_get ends ((2 * blk) + 1) in
+        if reset = no_end then c
+        else end_path eng frame c d (Array.unsafe_get ends (2 * blk)) reset
   in
   match eng.post.Interp.on_yieldpoint with
   | None -> c
@@ -679,19 +721,19 @@ let at_yieldpoint eng fl frame c d blk =
 let enter_frame eng frame d =
   let st = eng.st in
   (match eng.pre.Interp.on_entry with Some f -> f st frame | None -> ());
-  (match eng.paths with
-  | None -> ()
-  | Some l -> (
-      if d >= Array.length eng.regs then begin
-        let bigger = Array.make (2 * d) 0 in
-        Array.blit eng.regs 0 bigger 0 (Array.length eng.regs);
-        eng.regs <- bigger
-      end;
-      match l.Profile_hooks.plans.(frame.Interp.fmeth) with
-      | Some _ ->
-          eng.regs.(d) <- 0;
-          st.Machine.cycles <- st.Machine.cycles + eng.r_update
-      | None -> ()));
+  let l = eng.layer in
+  if l != eng.no_layer then begin
+    if d >= Array.length eng.regs then begin
+      let bigger = Array.make (2 * d) 0 in
+      Array.blit eng.regs 0 bigger 0 (Array.length eng.regs);
+      eng.regs <- bigger
+    end;
+    match l.Profile_hooks.plans.(frame.Interp.fmeth) with
+    | Some _ ->
+        eng.regs.(d) <- 0;
+        st.Machine.cycles <- st.Machine.cycles + eng.r_update
+    | None -> ()
+  end;
   match eng.post.Interp.on_entry with Some f -> f st frame | None -> ()
 
 let exit_frame eng frame =
@@ -714,15 +756,10 @@ let count_translation eng (witness : Fusion.witness) =
       end
   | None -> ()
 
-(* The plan a translation of [midx] bakes: the installed one, if the
-   engine runs a path layer. *)
-let live_plan eng midx =
-  match eng.paths with Some l -> l.Profile_hooks.plans.(midx) | None -> None
-
 let rec get_body eng midx =
   let cm = Array.unsafe_get eng.st.Machine.methods midx in
   match Array.unsafe_get eng.bodies midx with
-  | Some b when b.bgen = cm.Machine.gen && b.fplan == live_plan eng midx -> b
+  | Some b when b.bgen = cm.Machine.gen && not b.stale -> b
   | Some _ | None ->
       let b = translate eng cm midx in
       count_translation eng b.fwitness;
@@ -917,7 +954,7 @@ and translate eng (cm : Machine.cmeth) midx : flat =
   (* instrumentation: the installed plan's steps (guarded exactly as
      [live_edge_step] guards the live read) and the edge counter's
      branch ids *)
-  let plan = live_plan eng midx in
+  let plan = eng.layer.Profile_hooks.plans.(midx) in
   let branch = Profile_hooks.branch_ids cm.Machine.cfg in
   let sized = if Option.is_none plan then 0 else len in
   let sadd = Array.make sized 0 in
@@ -998,6 +1035,8 @@ and translate eng (cm : Machine.cmeth) midx : flat =
     fsadd = sadd;
     fsreset = sreset;
     fends = ends;
+    stale = false;
+    seen = 0;
   }
 
 (* Inline-cache lookup off the fast path (any non-monomorphic-hit
@@ -1166,18 +1205,26 @@ and transfer eng fl stack locals frame cyc depth slot sp =
       | Some _ | None -> c
     in
     let c =
-      match eng.paths with
-      | None -> c
-      | Some l ->
-          if Array.unsafe_get l.Profile_hooks.plans fl.self == fl.fplan then begin
-            let k = step_bits w in
-            if k = 0 then c
-            else
-              apply_step eng l frame c depth k
-                (Array.unsafe_get fl.fsadd slot)
-                (Array.unsafe_get fl.fsreset slot)
-          end
-          else live_edge_step eng l frame c depth fl.self w
+      if fl.stale then live_edge_step eng frame c depth fl.self w
+      else
+        (* add-only and reset-only steps inline; [enter_frame] sized
+           [regs] for this depth *)
+        let k = step_bits w in
+        if k = 0 then c
+        else if k = 1 then begin
+          let regs = eng.regs in
+          Array.unsafe_set regs depth
+            (Array.unsafe_get regs depth + Array.unsafe_get fl.fsadd slot);
+          c + eng.r_update
+        end
+        else if k = 4 then begin
+          Array.unsafe_set eng.regs depth (Array.unsafe_get fl.fsreset slot);
+          c + eng.r_update
+        end
+        else
+          apply_step eng frame c depth k
+            (Array.unsafe_get fl.fsadd slot)
+            (Array.unsafe_get fl.fsreset slot)
     in
     let c =
       match eng.post.Interp.on_edge with
@@ -1444,6 +1491,7 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
           Array.unsafe_set clocals i (Array.unsafe_get stack (sp + i))
         done;
         cenv.frame <- cframe;
+        if eng.layer != eng.no_layer then cenv.body <- bd;
         let v = run_flat eng bd cenv in
         exit_frame eng cframe;
         st.Machine.depth <- depth;
@@ -1678,6 +1726,37 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
         (Array.unsafe_get locals l + Array.unsafe_get fl.fb pc);
       transfer eng fl stack locals frame cyc depth (pc + 1) sp
 
+(* Mark every translation of [midx] that can still run stale: the
+   cached bodies, the bodies of live frames (the frame pool up to the
+   live depth, which hooked execution keeps in [st.Machine.depth]; bare
+   execution runs no code that could get here), and, transitively,
+   everything their inline caches hold.  Allocates nothing and holds no
+   translation alive. *)
+let invalidate eng midx =
+  eng.epoch <- eng.epoch + 1;
+  let epoch = eng.epoch in
+  let rec mark fl =
+    if fl.seen <> epoch then begin
+      fl.seen <- epoch;
+      if fl.self = midx then fl.stale <- true;
+      Array.iter
+        (fun ic ->
+          mark ic.b0;
+          mark ic.b1;
+          mark ic.b2;
+          mark ic.b3)
+        fl.fics
+    end
+  in
+  Array.iter (function Some fl -> mark fl | None -> ()) eng.bodies;
+  for d = 1 to min eng.st.Machine.depth (Array.length eng.envs - 1) do
+    mark eng.envs.(d).body
+  done
+
+let install_plan eng (plans : Profile_hooks.plans) midx plan =
+  plans.(midx) <- plan;
+  if plans == eng.layer.Profile_hooks.plans then invalidate eng midx
+
 let ic_tiers eng name =
   let midx = Machine.index eng.st name in
   match eng.bodies.(midx) with
@@ -1754,6 +1833,7 @@ let invoke eng midx (args : int array) =
     prep env bd argc;
     Array.blit args 0 env.locals 0 argc;
     env.frame <- frame;
+    if eng.layer != eng.no_layer then env.body <- bd;
     let r = run_flat eng bd env in
     exit_frame eng frame;
     st.Machine.depth <- st.Machine.depth - 1;

@@ -29,7 +29,8 @@
     Semantics are bit-identical to the oracle: same virtual cycle
     counts, same yieldpoint firings, same hook event order, same
     results.  Hooks are consulted dynamically (absent hooks cost one
-    predictable test), so {!set_instr} invalidates nothing.  Block
+    predictable test); baked plans are kept coherent by invalidation
+    when a plan is installed ({!install_plan}).  Block
     costs and layout penalties are read through the captured compiled
     form at execution time, so in-place mutation by
     {!Machine.set_speed}, [Layout.apply] and {!Machine.clear_edge_extra}
@@ -100,20 +101,34 @@ type instr = {
 (** No tick, no hooks, no instrumentation: bare execution. *)
 val no_instr : instr
 
-(** Install an instrumentation configuration.  Nothing translated is
-    invalidated: plans are read through a stamp (below), counters and
-    hooks at every event.  A path layer whose plans differ from the
-    current one's starts a fresh path-register file.  Must not be
-    called while the engine is executing.
+(** Install an instrumentation configuration.  Counters, hooks and the
+    tick handler are read at every event; a path layer's plans are
+    baked into each translation.  A path layer whose plans differ
+    (physically) from the current one's — including adding or removing
+    the layer — drops every cached translation and starts a fresh
+    path-register file; the same plans keep both.
 
-    A translation bakes the plan installed for its method when it was
-    made.  At each event the engine checks that the installed plan is
-    still that one (one physical compare) and otherwise reads the
-    installed plan, so a plan replaced while a frame of the method is
-    live — adaptive re-instrumentation — applies to the old body's
-    block ids at its next event, as in the oracle.  A new invocation
-    re-translates when its method's plan changed. *)
+    The layer's handler runs only when its [armed] flag is set or a
+    tick is pending (see {!Profile_hooks.path_layer}); the oracle's
+    {!Profile_hooks.path_hooks} calls it at every path end, and the two
+    agree because an unarmed handler does nothing.
+
+    @raise Invalid_argument when called while the engine is executing
+    (the machine's call depth is not 0), e.g. from a hook: live frames
+    do not re-read the configuration. *)
 val set_instr : t -> instr -> unit
+
+(** [install_plan engine plans midx plan] sets [plans.(midx) <- plan].
+    When [plans] are the installed path layer's, every translation of
+    [midx] that can still run — the cached body, inline-cache entries,
+    and the bodies of live frames — is marked stale in place: it stops
+    using its baked steps and reads the installed plan at every event,
+    against its own block ids (a plan replaced while a frame of the
+    method is live — adaptive re-instrumentation — applies to the old
+    body at its next event, as in the oracle).  The next translation of
+    the method bakes the new plan.  Every write to an installed layer's
+    plans must go through here; may be called from a hook. *)
+val install_plan : t -> Profile_hooks.plans -> int -> Instrument.t option -> unit
 
 (** [set_hooks engine h] is [set_instr engine { no_instr with pre = h }]. *)
 val set_hooks : t -> Interp.hooks -> unit

@@ -355,9 +355,7 @@ let tab_header caches =
               ~number:(Exp_harness.advice_number env)
               st
           in
-          Array.iteri
-            (fun m level -> if level < 0 then plans.(m) <- None)
-            env.advice.Advice.levels;
+          Exp_harness.mask_plans env plans;
           Array.fold_left
             (fun acc plan ->
               match plan with

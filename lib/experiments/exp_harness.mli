@@ -171,7 +171,9 @@ val replay_transformed_with_truth :
 val advice_number : env -> int -> Dag.t -> Numbering.t
 
 (** Null out plans of methods the advice leaves at baseline, so a custom
-    profiler covers the same method set PEP does. *)
+    profiler covers the same method set PEP does.  For plans no engine
+    runs yet: a write to an installed layer's plans goes through
+    [Codegen.install_plan]. *)
 val mask_plans : env -> Profile_hooks.plans -> unit
 
 (** Total cycles (two iterations, compilation included) of one adaptive

@@ -3,6 +3,7 @@ type entry = {
   mutable count : int;
   mutable edges : Cfg.edge list option;
   mutable n_branches : int;
+  mutable arms : int array;
 }
 
 (* Keys are ints: the specialised table compares without the
@@ -29,7 +30,7 @@ let overflow t = t.overflow
 exception Full
 
 let fresh t path_id =
-  let e = { path_id; count = 0; edges = None; n_branches = -1 } in
+  let e = { path_id; count = 0; edges = None; n_branches = -1; arms = [||] } in
   Tbl.replace t.tbl path_id e;
   e
 
@@ -57,6 +58,40 @@ let add t path_id n =
 
 let incr t path_id = add t path_id 1
 let find t path_id = Tbl.find_opt t.tbl path_id
+
+(* Two passes over the edges, so the array is the only allocation. *)
+let arms_of edges =
+  let n =
+    List.fold_left
+      (fun n (ce : Cfg.edge) ->
+        match ce.attr with
+        | Cfg.Taken _ | Cfg.Not_taken _ -> n + 1
+        | Cfg.Seq -> n)
+      0 edges
+  in
+  let arms = Array.make n 0 in
+  let rec fill i = function
+    | [] -> ()
+    | (ce : Cfg.edge) :: rest -> (
+        match ce.attr with
+        | Cfg.Taken br ->
+            arms.(i) <- (2 * br) + 1;
+            fill (i + 1) rest
+        | Cfg.Not_taken br ->
+            arms.(i) <- 2 * br;
+            fill (i + 1) rest
+        | Cfg.Seq -> fill i rest)
+  in
+  fill 0 edges;
+  arms
+
+let memoize_arms e edges =
+  e.arms <- arms_of edges;
+  e.n_branches <- Array.length e.arms
+
+let memoize e edges =
+  e.edges <- Some edges;
+  memoize_arms e edges
 
 let entries t =
   List.sort

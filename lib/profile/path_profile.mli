@@ -1,17 +1,22 @@
 (** Path profiles: per-method frequency tables keyed by Ball-Larus path
     number.
 
-    Each entry memoizes, once known, the path's constituent CFG edges and
-    its length in branches ([b_p] of the branch-flow metric, paper §6.3).
-    PEP's sampler fills the memo the first time a path is sampled and
-    reuses it afterwards (paper §4.3). *)
+    Each entry memoizes, once known, the path's branch arms and its
+    length in branches ([b_p] of the branch-flow metric, paper §6.3),
+    and for ground-truth profilers its constituent CFG edges.  PEP's
+    sampler fills the memo the first time a path is sampled and reuses
+    it afterwards (paper §4.3). *)
 
 type entry = {
   path_id : int;
   mutable count : int;
-  mutable edges : Cfg.edge list option;  (** memoized expansion *)
+  mutable edges : Cfg.edge list option;
+      (** memoized expansion ({!memoize}; PEP keeps only the arms) *)
   mutable n_branches : int;
       (** branch edges on the path; -1 until the expansion is memoized *)
+  mutable arms : int array;
+      (** the path's branch arms in path order, each packed
+          [2 * branch + (1 if taken else 0)]; [[||]] until memoized *)
 }
 
 (** Per-method path profile. *)
@@ -21,6 +26,16 @@ val create : unit -> t
 val incr : t -> int -> unit
 val add : t -> int -> int -> unit
 val find : t -> int -> entry option
+
+(** The branch arms of a path's edges, packed as in [entry.arms]. *)
+val arms_of : Cfg.edge list -> int array
+
+(** [memoize e edges] records [edges] as the expansion of [e]'s path,
+    with its branch arms and branch count. *)
+val memoize : entry -> Cfg.edge list -> unit
+
+(** [memoize_arms e edges]: {!memoize} without keeping [edges]. *)
+val memoize_arms : entry -> Cfg.edge list -> unit
 
 (** Entry, created with count 0 if absent — ignoring any capacity bound
     (ground-truth profilers are never bounded).  Bounded writers use

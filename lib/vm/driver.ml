@@ -361,16 +361,19 @@ let do_compile_opt d midx ~level =
               ])
           fmt
       in
-      (match Profile_hooks.plan_outcome ~mode:Dag.Loop_header ~number d.st midx with
-      | Profile_hooks.Planned plan -> p.Pep.plans.(midx) <- Some plan
-      | Profile_hooks.Uninterruptible -> p.Pep.plans.(midx) <- None
-      | Profile_hooks.Too_many_paths { n_paths; limit } ->
-          p.Pep.plans.(midx) <- None;
-          unprofilable "unprofilable: %d paths exceed the limit %d" n_paths
-            limit
-      | Profile_hooks.Truncation_unsupported msg ->
-          p.Pep.plans.(midx) <- None;
-          unprofilable "unprofilable: truncation unsupported (%s)" msg);
+      let plan =
+        match Profile_hooks.plan_outcome ~mode:Dag.Loop_header ~number d.st midx with
+        | Profile_hooks.Planned plan -> Some plan
+        | Profile_hooks.Uninterruptible -> None
+        | Profile_hooks.Too_many_paths { n_paths; limit } ->
+            unprofilable "unprofilable: %d paths exceed the limit %d" n_paths
+              limit;
+            None
+        | Profile_hooks.Truncation_unsupported msg ->
+            unprofilable "unprofilable: truncation unsupported (%s)" msg;
+            None
+      in
+      Codegen.install_plan d.eng p.Pep.plans midx plan;
       (* path ids change with the numbering; drop stale entries *)
       Path_profile.clear p.Pep.paths.(midx)
   | _ -> ());
@@ -656,9 +659,10 @@ let inlined_sites d = d.inlined_sites
 let unrolled_loops d = d.unrolled_loops
 let checks d = List.rev d.checks
 let add_hooks d h =
-  d.hooks <- Interp.compose d.hooks h;
-  d.instr <- { d.instr with post = Interp.compose d.instr.post h };
-  Codegen.set_instr d.eng d.instr
+  let instr = { d.instr with post = Interp.compose d.instr.post h } in
+  Codegen.set_instr d.eng instr;
+  d.instr <- instr;
+  d.hooks <- Interp.compose d.hooks h
 
 let precompile d =
   Program.iter_methods (fun midx _ -> ensure_compiled d midx) d.st.Machine.program

@@ -184,5 +184,7 @@ val inlined_sites : t -> int
 val unrolled_loops : t -> int
 
 (** Compose more hooks after the driver's own (for hooks that must be
-    built after {!precompile}). *)
+    built after {!precompile}).  Between runs only.
+    @raise Invalid_argument when called while the driver is running
+    (from a hook); the driver is left unchanged. *)
 val add_hooks : t -> Interp.hooks -> unit

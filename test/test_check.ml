@@ -279,6 +279,16 @@ let test_reject_bad_path_profile () =
   let profile = Path_profile.create () in
   Path_profile.incr profile 2;
   no_errors "valid path id" (Pep_check.lint_path_profile n profile);
+  (* a memoized expansion must be the path's reconstruction *)
+  let e = Path_profile.entry profile 2 in
+  Path_profile.memoize_arms e (Reconstruct.cfg_edges n 2);
+  no_errors "memoized arms" (Pep_check.lint_path_profile n profile);
+  e.Path_profile.arms <- Path_profile.arms_of (Reconstruct.cfg_edges n 1);
+  has_error_at "tampered memoized arms"
+    (fun d ->
+      match d.loc with Pep_check.Path_loc (_, 2) -> true | _ -> false)
+    (Pep_check.lint_path_profile n profile);
+  Path_profile.memoize_arms e (Reconstruct.cfg_edges n 2);
   Path_profile.incr profile 7;
   has_error_at "path id out of range"
     (fun d ->
@@ -560,6 +570,7 @@ let instr_fixture () =
             Profile_hooks.plans;
             count_cost = `Array;
             on_path_end = (fun _ _ ~path_id:_ -> ());
+            armed = ref true;
           };
       edges =
         Some

@@ -280,6 +280,7 @@ let test_baked_layer_matches_closures () =
             on_path_end =
               (fun _ (f : Interp.frame) ~path_id ->
                 Path_profile.incr paths.(f.Interp.fmeth) path_id);
+            armed = ref true;
           }
         in
         let edges =
@@ -450,6 +451,305 @@ let test_hook_switch () =
   let r3 = Codegen.run eng in
   check ci "same result bare again" r1 r3;
   check ci "bare run fires no hooks" fired !edges
+
+(* ------------------ plan installs and the path-end gate ------------------ *)
+
+(* [f] has a loop and a branch, so its loop-header and back-edge plans
+   differ; [main] calls it from a loop (a warm inline cache), and [r]
+   recurses [n] deep from inside a loop, so every frame keeps running
+   after its callee returns. *)
+let install_program () =
+  Compile.program ~name:"install" ~main:"main"
+    [
+      mdef "main" ~params:[]
+        [
+          set "s" (i 0);
+          for_ "k" (i 0) (i 60)
+            [
+              set "s" (add (v "s") (call "f" [ v "k" ]));
+              if_ (eq (band (v "k") (i 15)) (i 0))
+                [ set "s" (add (v "s") (call "r" [ i 9 ])) ]
+                [];
+            ];
+          ret (v "s");
+        ];
+      mdef "f" ~params:[ "a" ]
+        [
+          set "t" (i 0);
+          for_ "j" (i 0) (band (v "a") (i 7))
+            [
+              if_ (eq (band (v "j") (i 1)) (i 0))
+                [ set "t" (add (v "t") (v "j")) ]
+                [ set "t" (sub (v "t") (i 1)) ];
+            ];
+          ret (v "t");
+        ];
+      mdef "r" ~params:[ "n" ]
+        [
+          if_ (le (v "n") (i 0)) [ ret (i 1) ] [];
+          set "t" (i 0);
+          for_ "j" (i 0) (i 4)
+            [
+              if_ (eq (v "j") (i 1))
+                [ set "t" (add (v "t") (call "r" [ sub (v "n") (i 1) ])) ]
+                [
+                  if_ (lt (v "j") (v "n"))
+                    [ set "t" (add (v "t") (i 2)) ]
+                    [ set "t" (sub (v "t") (i 1)) ];
+                ];
+            ];
+          ret (v "t");
+        ];
+    ]
+
+let bl_number _ dag = Numbering.ball_larus dag
+
+(* A layer counting every path end into a table of its own. *)
+let recording_layer plans =
+  let paths = Path_profile.create_table ~n_methods:(Array.length plans) in
+  ( {
+      Profile_hooks.plans;
+      count_cost = `Hash;
+      on_path_end =
+        (fun _ (f : Interp.frame) ~path_id ->
+          Path_profile.incr paths.(f.Interp.fmeth) path_id);
+      armed = ref true;
+    },
+    paths )
+
+let layer_hooks (l : Profile_hooks.path_layer) =
+  Profile_hooks.path_hooks ~plans:l.Profile_hooks.plans
+    ~count_cost:l.Profile_hooks.count_cost
+    ~on_path_end:l.Profile_hooks.on_path_end ()
+
+(* One side of an oracle-vs-engine comparison: a machine over
+   [install_program] with loop-header plans in a recording layer, and
+   the back-edge plan of [meth] as the replacement to install. *)
+let install_side meth =
+  let st = Machine.create ~tick_offset:700 ~seed:6 (install_program ()) in
+  let plans = Profile_hooks.make_plans ~mode:Dag.Loop_header ~number:bl_number st in
+  let layer, paths = recording_layer plans in
+  let midx = Machine.index st meth in
+  let replacement =
+    Profile_hooks.plan_for ~mode:Dag.Back_edge ~number:bl_number st midx
+  in
+  (st, layer, paths, midx, replacement)
+
+let check_replacement_differs label (plans : Profile_hooks.plans) midx replacement =
+  let old = Option.get plans.(midx) and rep = Option.get replacement in
+  check cb (label ^ ": replacement plan differs") true
+    (old.Instrument.edge_steps <> rep.Instrument.edge_steps)
+
+(* A plan replaced with no generation bump, then the method re-entered
+   through a warm inline cache: the translation must stop using its
+   baked steps.  A new hot mask first drops the cached body, so only
+   [main]'s inline cache still holds [f]'s translation; every call in
+   the second run hits that cache. *)
+let test_install_warm_ic () =
+  let st_o, layer_o, paths_o, fidx, rep = install_side "f" in
+  let st_t, layer_t, paths_t, _, _ = install_side "f" in
+  check_replacement_differs "f" layer_o.Profile_hooks.plans fidx rep;
+  let oracle = Interp.compose (Tick.hooks ()) (layer_hooks layer_o) in
+  let tel = Telemetry.create () in
+  let eng = Codegen.create ~telemetry:tel st_t in
+  Codegen.set_instr eng
+    { Codegen.no_instr with tick = Some (Tick.handler ()); paths = Some layer_t };
+  let misses () =
+    Metrics.value (Metrics.counter (Telemetry.metrics tel) "engine.ic.misses")
+  in
+  let r1_o = Interp.run oracle st_o and r1_t = Codegen.run eng in
+  let warm = misses () in
+  let gen = st_t.Machine.methods.(fidx).Machine.gen in
+  Codegen.set_hot_blocks eng fidx
+    (Array.make
+       (Array.length st_t.Machine.methods.(fidx).Machine.meth.Method.blocks)
+       true);
+  layer_o.Profile_hooks.plans.(fidx) <- rep;
+  Codegen.install_plan eng layer_t.Profile_hooks.plans fidx rep;
+  let r2_o = Interp.run oracle st_o and r2_t = Codegen.run eng in
+  check ci "no generation bump" gen st_t.Machine.methods.(fidx).Machine.gen;
+  check ci "second run served by warm inline caches" warm (misses ());
+  check ci "run 1 result" r1_o r1_t;
+  check ci "run 2 result" r2_o r2_t;
+  check ci "cycles" st_o.Machine.cycles st_t.Machine.cycles;
+  check csl "paths" (Path_profile.to_lines paths_o) (Path_profile.to_lines paths_t)
+
+(* A recursive method whose plan is replaced from an entry hook while
+   several of its frames are live: [r] is called as the root, and the
+   hook fires on entering it at depth 6, so frames at depths 1-5 resume
+   under the new plan.  With [bump], [r] is also recompiled on entry at
+   depth 4: frames 4-5 then run a fresh translation (still baking the
+   old plan) and frames 1-3 one that only the frame pool still holds. *)
+let test_install_live_recursion () =
+  List.iter
+    (fun bump ->
+      let side () =
+        let ((_, layer, _, ridx, rep) as s) = install_side "r" in
+        let installed = ref false in
+        let install =
+          ref (fun () -> layer.Profile_hooks.plans.(ridx) <- rep)
+        in
+        let pre =
+          {
+            Interp.no_hooks with
+            on_entry =
+              Some
+                (fun st (f : Interp.frame) ->
+                  if f.Interp.fmeth = ridx && not !installed then begin
+                    if bump && st.Machine.depth = 4 then
+                      Machine.set_speed st ridx ~percent:150;
+                    if st.Machine.depth = 6 then begin
+                      installed := true;
+                      !install ()
+                    end
+                  end);
+          }
+        in
+        (s, pre, install, installed)
+      in
+      let (st_o, layer_o, paths_o, ridx, rep), pre_o, _, installed_o = side () in
+      let (st_t, layer_t, paths_t, _, _), pre_t, install_t, installed_t = side () in
+      check_replacement_differs "r" layer_o.Profile_hooks.plans ridx rep;
+      let oracle =
+        Interp.compose (Tick.hooks ()) (Interp.compose pre_o (layer_hooks layer_o))
+      in
+      let eng = Codegen.create st_t in
+      (install_t :=
+         fun () -> Codegen.install_plan eng layer_t.Profile_hooks.plans ridx rep);
+      Codegen.set_instr eng
+        {
+          Codegen.no_instr with
+          tick = Some (Tick.handler ());
+          pre = pre_t;
+          paths = Some layer_t;
+        };
+      let label = if bump then "recompiled" else "same body" in
+      let r_o = Interp.call oracle st_o "r" [| 9 |]
+      and r_t = Codegen.call eng "r" [| 9 |] in
+      check cb (label ^ ": installed mid-recursion") true
+        (!installed_o && !installed_t);
+      check ci (label ^ ": result") r_o r_t;
+      check ci (label ^ ": cycles") st_o.Machine.cycles st_t.Machine.cycles;
+      check csl (label ^ ": paths")
+        (Path_profile.to_lines paths_o)
+        (Path_profile.to_lines paths_t))
+    [ false; true ]
+
+(* A layer swapped by [set_instr] between runs while translations are
+   cached: the second run must execute the new layer's plans. *)
+let test_layer_swap () =
+  let side () =
+    let st = Machine.create ~tick_offset:700 ~seed:6 (install_program ()) in
+    let layer mode =
+      recording_layer (Profile_hooks.make_plans ~mode ~number:bl_number st)
+    in
+    (st, layer Dag.Loop_header, layer Dag.Back_edge)
+  in
+  let st_o, (a_o, pa_o), (b_o, pb_o) = side () in
+  let st_t, (a_t, pa_t), (b_t, pb_t) = side () in
+  let oracle l = Interp.compose (Tick.hooks ()) (layer_hooks l) in
+  let eng = Codegen.create st_t in
+  let install l =
+    Codegen.set_instr eng
+      { Codegen.no_instr with tick = Some (Tick.handler ()); paths = Some l }
+  in
+  install a_t;
+  let r1_o = Interp.run (oracle a_o) st_o and r1_t = Codegen.run eng in
+  install b_t;
+  let r2_o = Interp.run (oracle b_o) st_o and r2_t = Codegen.run eng in
+  check ci "run 1 result" r1_o r1_t;
+  check ci "run 2 result" r2_o r2_t;
+  check ci "cycles" st_o.Machine.cycles st_t.Machine.cycles;
+  check csl "first layer's paths" (Path_profile.to_lines pa_o)
+    (Path_profile.to_lines pa_t);
+  check csl "second layer's paths" (Path_profile.to_lines pb_o)
+    (Path_profile.to_lines pb_t);
+  check cb "second layer counted" true (Path_profile.to_lines pb_t <> [])
+
+(* The path-end gate: the engine calls PEP's handler only while a burst
+   is armed or a tick is pending, the oracle at every path end.  The
+   engine must make strictly fewer calls and agree on everything. *)
+let test_path_end_gate () =
+  List.iter
+    (fun sampling ->
+      let w = Suite.find "jess" in
+      let program = Workload.program ~size:(max 4 (min 20 w.Workload.default_size)) w in
+      let side () =
+        let st = Machine.create ~tick_offset:5000 ~seed:2 program in
+        let p = Pep.create ~sampling st in
+        let calls = ref 0 in
+        let layer =
+          {
+            p.Pep.layer with
+            Profile_hooks.on_path_end =
+              (fun st f ~path_id ->
+                incr calls;
+                p.Pep.layer.Profile_hooks.on_path_end st f ~path_id);
+          }
+        in
+        (st, p, layer, calls)
+      in
+      let st_o, p_o, layer_o, calls_o = side () in
+      let st_t, p_t, layer_t, calls_t = side () in
+      let eng = Codegen.create st_t in
+      Codegen.set_instr eng
+        { Codegen.no_instr with tick = Some (Tick.handler ()); paths = Some layer_t };
+      let r_o = Interp.run (Interp.compose (Tick.hooks ()) (layer_hooks layer_o)) st_o in
+      let r_t = Codegen.run eng in
+      let label = Sampling.name sampling in
+      check ci (label ^ " result") r_o r_t;
+      check ci (label ^ " cycles") st_o.Machine.cycles st_t.Machine.cycles;
+      check ci (label ^ " samples") (Pep.n_samples p_o) (Pep.n_samples p_t);
+      check csl (label ^ " profiles")
+        (Path_profile.to_lines p_o.Pep.paths @ Edge_profile.to_lines p_o.Pep.edges)
+        (Path_profile.to_lines p_t.Pep.paths @ Edge_profile.to_lines p_t.Pep.edges);
+      check cb
+        (Fmt.str "%s: engine calls %d < oracle calls %d" label !calls_t !calls_o)
+        true
+        (!calls_t < !calls_o && !calls_t > 0);
+      if sampling.Sampling.samples > 0 then
+        check cb (label ^ " sampled") true (Pep.n_samples p_t > 0))
+    [ Sampling.never; Sampling.pep ~samples:1 ~stride:1; Sampling.pep ~samples:64 ~stride:17 ]
+
+(* [Driver.add_hooks] from inside a hook is refused (live frames would
+   not see the new configuration) and leaves the driver as it was;
+   between runs it works.  Both engines behave alike. *)
+let test_add_hooks_between_runs_only () =
+  let run engine =
+    let st = Machine.create ~seed:3 (tiny_program ()) in
+    let driver = ref None and outcome = ref "not tried" and entries = ref 0 in
+    let counting =
+      { Interp.no_hooks with on_entry = Some (fun _ _ -> incr entries) }
+    in
+    let probe =
+      {
+        Interp.no_hooks with
+        on_entry =
+          Some
+            (fun _ _ ->
+              match (!driver, !outcome) with
+              | Some d, "not tried" -> (
+                  match Driver.add_hooks d counting with
+                  | () -> outcome := "added"
+                  | exception Invalid_argument _ -> outcome := "raised")
+              | _ -> ());
+      }
+    in
+    let d =
+      Driver.create ~extra_hooks:probe { Driver.default_options with engine } st
+    in
+    driver := Some d;
+    let r1 = Driver.run d in
+    let refused = (!outcome, !entries) in
+    Driver.add_hooks d counting;
+    let r2 = Driver.run d in
+    (r1, r2, refused, !entries)
+  in
+  let ((_, _, refused, entries) as t) = run `Threaded in
+  check Alcotest.(pair string int) "from a hook: raised, nothing added"
+    ("raised", 0) refused;
+  check cb "added between runs: fires" true (entries > 0);
+  check cb "oracle alike" true (run `Oracle = t)
 
 (* ------------------------- PIC tier ladder ------------------------- *)
 
@@ -668,6 +968,16 @@ let suite =
         `Quick test_live_reinstrumentation;
       Alcotest.test_case "baked layer matches its closure form" `Quick
         test_baked_layer_matches_closures;
+      Alcotest.test_case "differential: plan installed, warm inline cache"
+        `Quick test_install_warm_ic;
+      Alcotest.test_case "differential: plan installed under live recursion"
+        `Quick test_install_live_recursion;
+      Alcotest.test_case "differential: layer swapped between runs" `Quick
+        test_layer_swap;
+      Alcotest.test_case "path-end gate: fewer handler calls, same output"
+        `Quick test_path_end_gate;
+      Alcotest.test_case "Driver.add_hooks: between runs only" `Quick
+        test_add_hooks_between_runs_only;
       Alcotest.test_case "engine matches oracle (tiny)" `Quick
         test_engine_matches_oracle;
       Alcotest.test_case "set_speed invalidates inline caches" `Quick

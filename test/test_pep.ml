@@ -71,12 +71,20 @@ let test_memoization () =
     run_pep ~tick_offset:100 ~sampling:(Sampling.pep ~samples:512 ~stride:1)
       program
   in
-  Array.iter
-    (fun prof ->
+  (* PEP memoizes a sampled path's branch arms (not its edge list):
+     they must be the arms of the path's reconstruction *)
+  Array.iteri
+    (fun m prof ->
       Path_profile.iter
         (fun (e : Path_profile.entry) ->
-          check Alcotest.bool "sampled entry memoized" true (e.edges <> None);
-          check Alcotest.bool "n_branches filled" true (e.n_branches >= 0))
+          check Alcotest.bool "n_branches filled" true (e.n_branches >= 0);
+          let expected =
+            Path_profile.arms_of
+              (Reconstruct.cfg_edges
+                 (Option.get pep.Pep.plans.(m)).Instrument.numbering e.path_id)
+          in
+          check Alcotest.(array int) "sampled entry memoized" expected e.arms;
+          check ci "branch count" (Array.length expected) e.n_branches)
         prof)
     pep.Pep.paths
 
