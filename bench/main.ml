@@ -347,15 +347,13 @@ type engine_setup = {
   batches : int * int * int;
 }
 
-let nofuse_tiers = { Codegen.default_tiers with Codegen.fuse = false }
-
 let engine_setups () =
   List.map
     (fun (etag, program, batches) ->
       let masks = pep_hot_masks program in
-      let engine_with tiers =
+      let engine_with fuse =
         let st = Machine.create ~seed:7 program in
-        let eng = Codegen.create ~tiers st in
+        let eng = Codegen.create ~fuse st in
         Array.iteri (fun midx hot -> Codegen.set_hot_blocks eng midx hot) masks;
         ignore (Codegen.run eng) (* translate up front; caches warm *);
         eng
@@ -363,8 +361,8 @@ let engine_setups () =
       {
         etag;
         oracle_st = Machine.create ~seed:7 program;
-        e_fused = engine_with Codegen.default_tiers;
-        e_nofuse = engine_with nofuse_tiers;
+        e_fused = engine_with true;
+        e_nofuse = engine_with false;
         batches;
       })
     [
@@ -382,14 +380,12 @@ let engine_tests setups =
           (fun () -> ignore (Interp.run Interp.no_hooks s.oracle_st));
         one ~batch:bf
           ~name:
-            (Printf.sprintf "engine/%s-%s"
-               (Codegen.tier_name Codegen.default_tiers)
-               s.etag)
+            (Printf.sprintf "engine/%s-%s" (Codegen.tier_name ~fuse:true) s.etag)
           (fun () -> ignore (Codegen.run s.e_fused));
         (* fusion ablation: same flat engine, superinstructions off *)
         one ~batch:bn
           ~name:
-            (Printf.sprintf "engine/%s-%s" (Codegen.tier_name nofuse_tiers)
+            (Printf.sprintf "engine/%s-%s" (Codegen.tier_name ~fuse:false)
                s.etag)
           (fun () -> ignore (Codegen.run s.e_nofuse));
       ])
@@ -458,7 +454,7 @@ let engine_speedups setups =
     setups
 
 let write_engine_json ~seed ~wall ~json_out ~speedups rows =
-  let tier = Codegen.tier_name Codegen.default_tiers in
+  let tier = Codegen.tier_name ~fuse:true in
   let pick f tag =
     match List.find_opt (fun (t, _, _, _) -> t = tag) speedups with
     | Some s -> f s

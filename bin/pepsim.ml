@@ -1466,22 +1466,22 @@ let fleet_chaos_cmd =
     require_pos "windows" windows;
     let cases =
       match Cli.split_commas case_labels with
-      | [] -> Exp_chaos.fleet_curated
+      | [] -> Fleet_chaos.curated
       | labels ->
           List.map
             (fun l ->
               match
                 List.find_opt
-                  (fun (c : Exp_chaos.fleet_case) -> c.Exp_chaos.flabel = l)
-                  Exp_chaos.fleet_curated
+                  (fun (c : Fleet_chaos.case) -> c.Fleet_chaos.label = l)
+                  Fleet_chaos.curated
               with
               | Some c -> c
               | None ->
                   Printf.eprintf "unknown fleet chaos case %s; have: %s\n" l
                     (String.concat " "
                        (List.map
-                          (fun (c : Exp_chaos.fleet_case) -> c.Exp_chaos.flabel)
-                          Exp_chaos.fleet_curated));
+                          (fun (c : Fleet_chaos.case) -> c.Fleet_chaos.label)
+                          Fleet_chaos.curated));
                   exit 2)
             labels
     in

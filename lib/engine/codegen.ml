@@ -211,27 +211,14 @@ and ic = {
   mutable stable : int;  (* consecutive same-generation megamorphic hits *)
 }
 
-type tiers = {
-  fuse : bool;
-  pic : bool;
-  pic_mono_misses : int;
-  pic_poly_misses : int;
-  pic_mega_stable : int;
-}
+(* The PIC ladder's thresholds: mono misses before promoting to poly,
+   poly misses before promoting to megamorphic, stable megamorphic hits
+   before demoting back to mono. *)
+let pic_mono_misses = 4
+let pic_poly_misses = 4
+let pic_mega_stable = 64
 
-let default_tiers =
-  {
-    fuse = true;
-    pic = true;
-    pic_mono_misses = 4;
-    pic_poly_misses = 4;
-    pic_mega_stable = 64;
-  }
-
-let tier_name t =
-  "v2-flat"
-  ^ (if t.fuse then "" else "-nofuse")
-  ^ if t.pic then "" else "-nopic"
+let tier_name ~fuse = if fuse then "v2-flat" else "v2-flat-nofuse"
 
 (* Engine-level telemetry counters; host-side only, absent entirely
    when the engine was created without a sink. *)
@@ -274,7 +261,7 @@ type t = {
   heap_n : int;
   globals : int array;
   prng : Prng.t;
-  tiers : tiers;
+  fuse : bool;  (* compile superinstructions for hot blocks *)
   (* the fields of [instr], see [set_instr] *)
   mutable tick : (Machine.t -> Interp.frame -> unit) option;
   mutable pre : Interp.hooks;
@@ -341,7 +328,7 @@ let is_no_hooks = function
       true
   | _ -> false
 
-let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
+let create ?telemetry ?(fuse = true) st =
   let n = Array.length st.Machine.methods in
   let stats =
     match telemetry with
@@ -379,13 +366,13 @@ let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
     heap_n = Array.length st.Machine.heap;
     globals = st.Machine.globals;
     prng = st.Machine.prng;
-    tiers;
+    fuse;
     tick = None;
-    pre = hooks;
+    pre = Interp.no_hooks;
     edges = None;
     layer = no_layer;
     post = Interp.no_hooks;
-    hooked_mode = not (is_no_hooks hooks);
+    hooked_mode = false;
     count_cost = 0;
     regs = Array.make 16 0;
     no_layer;
@@ -423,8 +410,6 @@ let set_instr eng (i : instr) =
     || (not (is_no_hooks i.pre))
     || not (is_no_hooks i.post)
 
-let set_hooks eng hooks = set_instr eng { no_instr with pre = hooks }
-let tiers eng = eng.tiers
 
 let set_hot_blocks eng midx hot =
   eng.hot.(midx) <- Some (Array.copy hot);
@@ -433,7 +418,7 @@ let set_hot_blocks eng midx hot =
   eng.bodies.(midx) <- None
 
 let hot_mask eng midx =
-  if not eng.tiers.fuse then [||]
+  if not eng.fuse then [||]
   else match eng.hot.(midx) with Some h -> h | None -> [||]
 
 let fusion_witness eng midx =
@@ -1049,17 +1034,15 @@ and lookup_ic eng ic (ccm : Machine.cmeth) =
       (* monomorphic; the hit case is inlined at the call site *)
       count_miss eng;
       let bd = get_body eng ic.cidx in
-      if eng.tiers.pic then begin
-        ic.miss_streak <- ic.miss_streak + 1;
-        if ic.miss_streak >= eng.tiers.pic_mono_misses then begin
-          ic.g1 <- ic.g0;
-          ic.b1 <- ic.b0;
-          ic.tier <- 1;
-          ic.miss_streak <- 0;
-          match eng.stats with
-          | Some s -> Metrics.incr s.pic_promote_poly
-          | None -> ()
-        end
+      ic.miss_streak <- ic.miss_streak + 1;
+      if ic.miss_streak >= pic_mono_misses then begin
+        ic.g1 <- ic.g0;
+        ic.b1 <- ic.b0;
+        ic.tier <- 1;
+        ic.miss_streak <- 0;
+        match eng.stats with
+        | Some s -> Metrics.incr s.pic_promote_poly
+        | None -> ()
       end;
       ic.g0 <- gen;
       ic.b0 <- bd;
@@ -1093,7 +1076,7 @@ and lookup_ic eng ic (ccm : Machine.cmeth) =
         ic.g0 <- gen;
         ic.b0 <- bd;
         ic.miss_streak <- ic.miss_streak + 1;
-        if ic.miss_streak >= eng.tiers.pic_poly_misses then begin
+        if ic.miss_streak >= pic_poly_misses then begin
           ic.tier <- 2;
           ic.miss_streak <- 0;
           (* the call-site fast path is a single stamp compare on slot
@@ -1115,7 +1098,7 @@ and lookup_ic eng ic (ccm : Machine.cmeth) =
       if ic.g2 = gen then begin
         count_hit eng;
         ic.stable <- ic.stable + 1;
-        if ic.stable >= eng.tiers.pic_mega_stable then begin
+        if ic.stable >= pic_mega_stable then begin
           ic.tier <- 0;
           ic.miss_streak <- 0;
           ic.stable <- 0;

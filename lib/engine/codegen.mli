@@ -21,8 +21,9 @@
     {b Polymorphic inline caches.}  Every call site carries an inline
     cache keyed on the callee compiled form's generation stamp
     ({!Machine.cmeth.gen}) that climbs a mono → poly(4-way) →
-    megamorphic tier ladder: misses promote (counters per site), a long
-    stable run in the megamorphic tier demotes back to monomorphic.
+    megamorphic tier ladder: four misses at a tier promote the site
+    one tier, and 64 consecutive megamorphic hits on one generation
+    demote it back to monomorphic.
     Steady-state calls never consult the method table and allocate
     nothing in bare (hook-free) execution.
 
@@ -38,25 +39,15 @@
 
 type t
 
-(** Tier policy: which profile-guided tiers are active and the
-    promotion/demotion thresholds of the PIC ladder. *)
-type tiers = {
-  fuse : bool;  (** compile superinstructions for profiled-hot blocks *)
-  pic : bool;  (** enable the poly/mega tiers (off = v1-style mono IC) *)
-  pic_mono_misses : int;  (** mono misses before promoting to poly *)
-  pic_poly_misses : int;  (** poly misses before promoting to megamorphic *)
-  pic_mega_stable : int;  (** stable megamorphic hits before demoting *)
-}
+(** Short engine label for bench and result names: ["v2-flat"], or
+    ["v2-flat-nofuse"] for an engine without superinstructions. *)
+val tier_name : fuse:bool -> string
 
-val default_tiers : tiers
-
-(** Short engine-tier label for bench/result names: ["v2-flat"], with
-    ["-nofuse"] / ["-nopic"] suffixes for disabled tiers. *)
-val tier_name : tiers -> string
-
-(** [create ?telemetry ?tiers ?hooks machine] builds an engine over
-    [machine].  Nothing is translated until first dispatch; methods are
-    translated lazily, at most once per generation stamp.
+(** [create ?telemetry ?fuse machine] builds an engine over [machine].
+    Nothing is translated until first dispatch; methods are translated
+    lazily, at most once per generation stamp.  [fuse] (default [true])
+    compiles superinstructions for the blocks {!set_hot_blocks} marks
+    hot; [false] is the fusion ablation.
 
     With [telemetry], the engine registers and maintains the
     [engine.translations], [engine.ic.hits] / [engine.ic.misses],
@@ -65,8 +56,7 @@ val tier_name : tiers -> string
     [engine.pic.demote] counters (host-side only: no simulated cycles,
     no allocation on the hot path).  Without it no counters exist and
     execution is identical to a pre-telemetry engine. *)
-val create :
-  ?telemetry:Telemetry.t -> ?tiers:tiers -> ?hooks:Interp.hooks -> Machine.t -> t
+val create : ?telemetry:Telemetry.t -> ?fuse:bool -> Machine.t -> t
 
 (** {2 Instrumentation}
 
@@ -130,16 +120,11 @@ val set_instr : t -> instr -> unit
     plans must go through here; may be called from a hook. *)
 val install_plan : t -> Profile_hooks.plans -> int -> Instrument.t option -> unit
 
-(** [set_hooks engine h] is [set_instr engine { no_instr with pre = h }]. *)
-val set_hooks : t -> Interp.hooks -> unit
-
 (** What the engine compiles for method [midx]'s instrumentation right
     now (current body, installed plan, current layer): pure
     translation, no cache side effects.  Feed this to
     [Pep_check.validate_instr]. *)
 val instr_witness : t -> int -> Instrument.witness
-
-val tiers : t -> tiers
 
 (** [set_hot_blocks engine midx hot] installs the per-block hot mask
     the fusion planner uses for method [midx] (typically block

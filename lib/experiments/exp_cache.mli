@@ -7,12 +7,13 @@
     is part of the key, so distinct configurations never alias.
 
     With [cache_dir], completed runs are additionally persisted through
-    {!Exp_store} under a composite identity (store version, workload,
+    {!Exp_store} under a composite identity (workload,
     size, seed, digests of the compiled program and cost model, and the
     configuration key), and recalled on later sweeps by
-    {!Exp_harness.rebuild} — zero application execution.  Stale or
-    damaged entries surface as {!diagnostics} and are silently
-    recomputed and overwritten, never trusted or crashed on.  An
+    {!Exp_harness.rebuild} — zero application execution.  Stale,
+    damaged or unrecognised entries (another format version included)
+    surface as {!diagnostics} and are recomputed and overwritten, never
+    trusted or crashed on.  An
     unusable [cache_dir] (unwritable, or a path component that is not a
     directory) is reported the same way, once, at {!create} — runs
     still execute, they just are not persisted.
@@ -31,7 +32,7 @@ type t
     {!config}-derived callers) build on — e.g. pass one carrying a
     telemetry sink to have every figure's runs traced.  [cache_dir]
     (default: none, memory only) enables the persistent layer; it is
-    prepared with {!Exp_store.prepare_dir}, any failure becoming the
+    prepared with {!Durable.prepare_dir}, any failure becoming the
     cache's first diagnostic. *)
 val create : ?config:Exp_harness.config -> ?cache_dir:string -> Exp_harness.env -> t
 
@@ -71,7 +72,6 @@ type stats = {
   disk_hits : int;  (** rebuilt from a persisted entry, no execution *)
   executed : int;  (** actually simulated *)
   store_errors : int;  (** stale/corrupt/unwritable entries (see {!diagnostics}) *)
-  migrated : int;  (** legacy-codec entries re-encoded with the current codec *)
 }
 
 val stats : t -> stats
@@ -89,7 +89,7 @@ val store_file : t -> Exp_harness.config -> string option
 
 (** Like {!store_file}, but also the composite identity key the entry
     is (or would be) persisted under — e.g. to forge or inspect entries
-    in tests and migration tooling. *)
+    in tests. *)
 val store_slot : t -> Exp_harness.config -> (string * string) option
 
 (** {2 The shared convenience runs, derived from the base configuration} *)

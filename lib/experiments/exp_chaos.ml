@@ -21,38 +21,6 @@ let curated =
       1.0;
   ]
 
-(* Fleet-level plans live here beside the execution plans so one place
-   documents the whole curated chaos surface, but the sweep that runs
-   them is Fleet_chaos (the collector sits above this library). *)
-type fleet_case = {
-  flabel : string;
-  fplan : Fault_plan.t;
-  converges : bool;
-      (* must the faulted store heal to the healthy store's bytes? *)
-}
-
-let fleet_case flabel spec converges =
-  { flabel; fplan = Fault_plan.parse_exn spec; converges }
-
-(* [doomed] is the one plan allowed to lose data: crash at every window
-   with zero restarts loses every instance, so its windows land in the
-   degraded log instead of the store.  Everything else must converge —
-   crashes replay, torn writes heal on reopen, flips are quarantined
-   and re-collected, stragglers only delay. *)
-let fleet_curated =
-  [
-    fleet_case "noop" "noop" true;
-    fleet_case "crashy" "seed=11,crash=0.3,crash-restarts=10" true;
-    fleet_case "torn-writes" "seed=23,torn-write=0.5,seg-retries=3" true;
-    fleet_case "stragglers" "seed=31,straggler=0.6,straggler-timeout=3" true;
-    fleet_case "rotten-segments" "seed=47,seg-corrupt=0.4,seg-retries=3" true;
-    fleet_case "doomed" "seed=3,crash=1,crash-restarts=0" false;
-    fleet_case "fleet-sink"
-      "seed=13,crash=0.2,crash-restarts=10,torn-write=0.3,straggler=0.3,\
-       straggler-timeout=2,seg-corrupt=0.2,seg-retries=4"
-      true;
-  ]
-
 type report = {
   workload : string;
   label : string;

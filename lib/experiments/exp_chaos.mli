@@ -40,21 +40,6 @@ type case = {
     sample handler, fully corrupt inputs, and a kitchen-sink mix. *)
 val curated : case list
 
-(** A fleet-level plan ({!Fault_plan.perturbs_fleet} sites) swept by
-    {!Fleet_chaos} in the fleet library.  [converges] declares whether
-    the faulted store must heal to the healthy store's exact bytes:
-    true for every recoverable plan, false only for plans designed to
-    lose data (which must account every loss in the degraded log
-    instead). *)
-type fleet_case = { flabel : string; fplan : Fault_plan.t; converges : bool }
-
-val fleet_case : string -> string -> bool -> fleet_case
-
-(** The standing fleet plans: [noop], seeded crash/torn-write/
-    straggler/segment-corruption plans, the data-losing [doomed]
-    (certain crash, zero restarts) and a [fleet-sink] mix. *)
-val fleet_curated : fleet_case list
-
 type report = {
   workload : string;
   label : string;

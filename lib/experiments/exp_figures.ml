@@ -657,7 +657,6 @@ let tab_hardware caches =
                   verify = true;
                   deep_verify = false;
                   engine = (Exp_cache.config c).Exp_harness.engine;
-                  tiers = (Exp_cache.config c).Exp_harness.tiers;
                   telemetry = (Exp_cache.config c).Exp_harness.telemetry;
                   faults = None;
                 }
@@ -721,7 +720,6 @@ let tab_onetime_paths caches =
             verify = true;
             deep_verify = false;
             engine = (Exp_cache.config c).Exp_harness.engine;
-            tiers = (Exp_cache.config c).Exp_harness.tiers;
             telemetry = (Exp_cache.config c).Exp_harness.telemetry;
             faults = None;
           }

@@ -35,7 +35,6 @@ type config = {
   unroll : bool;
   deep : bool;
   engine : Driver.engine;
-  tiers : Codegen.tiers;
   telemetry : Telemetry.t option;
   faults : Fault_plan.t;
 }
@@ -48,7 +47,6 @@ let default =
     unroll = false;
     deep = false;
     engine = `Threaded;
-    tiers = Codegen.default_tiers;
     telemetry = None;
     faults = Fault_plan.empty;
   }
@@ -89,7 +87,7 @@ let config_key c =
   if c.deep then Buffer.add_string buf "+deep";
   (match c.engine with
   | `Oracle -> Buffer.add_string buf "+oracle"
-  | `Threaded -> Buffer.add_string buf ("+" ^ Codegen.tier_name c.tiers));
+  | `Threaded -> Buffer.add_string buf ("+" ^ Codegen.tier_name ~fuse:true));
   (match c.telemetry with
   | Some _ -> Buffer.add_string buf "+tel"
   | None -> ());
@@ -102,18 +100,24 @@ let begin_run config name =
   | None -> ()
   | Some tel -> Telemetry.begin_run tel ~name
 
-let make_env ?size ?(config = default) ~seed workload =
+let compressed_cost tick_shrink =
+  {
+    Cost_model.default with
+    Cost_model.tick_period =
+      max 1 (Cost_model.default.Cost_model.tick_period / max 1 tick_shrink);
+  }
+
+let make_env ?size ?(config = default) ?cost ~seed workload =
   let size = Option.value ~default:workload.Workload.default_size size in
   let program = Workload.program ~size workload in
   Verify.program program;
-  let st = Machine.create ~seed program in
+  let st = Machine.create ?cost ~seed program in
   begin_run config (Fmt.str "warmup %s" workload.Workload.name);
   let driver =
     Driver.create
       {
         Driver.default_options with
         engine = config.engine;
-        tiers = config.tiers;
         telemetry = config.telemetry;
       }
       st
@@ -313,7 +317,6 @@ let setup_replay ~faults env config =
       verify = true;
       deep_verify = config.deep;
       engine = config.engine;
-      tiers = config.tiers;
       telemetry = config.telemetry;
       faults;
     }
@@ -452,7 +455,6 @@ let replay_transformed_with_truth ?(config = { default with inline = true })
       verify = true;
       deep_verify = config.deep;
       engine = config.engine;
-      tiers = config.tiers;
       telemetry = config.telemetry;
       faults = injector_of config;
     }
@@ -470,12 +472,7 @@ let adaptive_total ?(config = default) ~trial env =
   (* The adaptive system needs enough timer ticks for promotion decisions
      to stabilize (the paper's runs see ~550); compress the tick period so
      the tick:execution ratio stays comparable at simulation scale. *)
-  let cost =
-    {
-      Cost_model.default with
-      Cost_model.tick_period = Cost_model.default.Cost_model.tick_period / 4;
-    }
-  in
+  let cost = compressed_cost 4 in
   let period = cost.Cost_model.tick_period in
   (* pseudo-uniform, distinct timer phases across trials *)
   let tick_offset = 1 + (trial * 10007 * 977) mod period in
@@ -498,7 +495,6 @@ let adaptive_total ?(config = default) ~trial env =
           verify = true;
           deep_verify = config.deep;
           engine = config.engine;
-          tiers = config.tiers;
           telemetry = config.telemetry;
           faults = injector_of config;
         }
@@ -506,7 +502,6 @@ let adaptive_total ?(config = default) ~trial env =
         {
           Driver.default_options with
           engine = config.engine;
-          tiers = config.tiers;
           telemetry = config.telemetry;
           faults = injector_of config;
         }

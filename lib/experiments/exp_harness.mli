@@ -62,12 +62,8 @@ type config = {
           {!config_key} (["+deep"]); [pepsim check --deep] flips it on *)
   engine : Driver.engine;
       (** [`Threaded] by default — pass [`Oracle] to run the reference
-          interpreter, as the differential tests do for both *)
-  tiers : Codegen.tiers;
-      (** engine-v2 tier policy ({!Codegen.default_tiers} by default):
-          superinstruction fusion and the PIC ladder.  Part of
-          {!config_key} via {!Codegen.tier_name} (["+v2-flat"] etc.);
-          tiers change host-side speed only, never measurements *)
+          interpreter, as the differential tests do for both.  Part of
+          {!config_key} as ["+oracle"] or ["+v2-flat"] *)
   telemetry : Telemetry.t option;
       (** host-side metrics/trace sink, threaded through the driver,
           engine and PEP; measurements are bit-identical with or
@@ -92,10 +88,18 @@ val default : config
     key, so e.g. a continuous and a flipped table cannot alias. *)
 val config_key : config -> string
 
+(** {!Cost_model.default} with its tick period divided by [tick_shrink]
+    (at least 1).  Virtual time stays exact; there are just more ticks
+    per cycle, so a short run still samples every hot method. *)
+val compressed_cost : int -> Cost_model.t
+
 (** Compile the workload and produce advice from a two-iteration adaptive
     warmup run.  Only [config.engine] and [config.telemetry] matter
-    here; the advice must be identical under either engine. *)
-val make_env : ?size:int -> ?config:config -> seed:int -> Workload.t -> env
+    here; the advice must be identical under either engine.  [cost]
+    (default {!Cost_model.default}) is the warmup machine's cost model;
+    windowed collectors pass a {!compressed_cost}. *)
+val make_env :
+  ?size:int -> ?config:config -> ?cost:Cost_model.t -> seed:int -> Workload.t -> env
 
 (** Envs for the whole suite; [scale] multiplies every workload's default
     size (use a small scale in tests). *)

@@ -2,20 +2,20 @@
 
    One file per (workload, size, seed, configuration) run, named by the
    MD5 of that identity so a cache directory can be shared across
-   sweeps.  The bytes inside are framed by a versioned [Exp_codec]
-   codec: writes use the current compact binary codec, loads sniff the
-   file's magic and dispatch — legacy line-oriented text entries (v1)
-   stay readable and are transparently re-encoded by [Exp_cache].
+   sweeps.  The bytes inside are one compact binary format
+   (varint-packed profile rows, raw MD5 trailer, Durable.Bin), written
+   whole by Durable.write_file.
 
    The composite key embeds digests of the compiled program and the
    cost model (see Exp_cache), so a stale entry — same file name,
    different program — fails the key comparison; a damaged entry fails
-   the digest or shape checks; an entry written by a future codec is
-   reported as an unsupported version.  Either way the caller gets a
-   structured [Dcg.parse_error] and recomputes; a load never crashes
-   and never returns a partially-filled payload. *)
+   the digest or shape checks; anything that is not this format's
+   current version (an older text-format entry, a future version, a
+   stray file) is unrecognised.  Either way the caller gets a
+   structured [Dcg.parse_error] and recomputes and overwrites; a load
+   never crashes and never returns a partially-filled payload. *)
 
-type payload = Exp_codec.payload = {
+type payload = {
   iter1 : int;
   iter2 : int;
   compile : int;
@@ -27,134 +27,143 @@ type payload = Exp_codec.payload = {
   pedges : string list;
 }
 
-let version = Exp_codec.current.Exp_codec.version
+module Bin = Durable.Bin
 
 let filename ~dir file_key =
   Filename.concat dir (Digest.to_hex (Digest.string file_key) ^ ".run")
 
-let digest_lines = Exp_codec.digest_lines
+let err file reason = { Dcg.file = Some file; line = 0; text = ""; reason }
 
-let err ?(line = 0) ?(text = "") file reason =
-  { Dcg.file = Some file; line; text = String.trim text; reason }
+exception Fail of Dcg.parse_error
 
-let rec ensure_dir dir =
-  if Sys.file_exists dir then
-    if Sys.is_directory dir then Ok ()
-    else Error (err dir "cache path exists but is not a directory")
-  else begin
-    let parent = Filename.dirname dir in
-    match if parent = dir then Ok () else ensure_dir parent with
-    | Error _ as e -> e
-    | Ok () -> (
-        match Sys.mkdir dir 0o755 with
-        | () -> Ok ()
-        | exception Sys_error m ->
-            (* tolerate a concurrent worker creating it first; anything
-               else (permissions, parent replaced by a file) surfaces *)
-            if Sys.file_exists dir && Sys.is_directory dir then Ok ()
-            else Error (err dir ("cannot create cache directory: " ^ m)))
-  end
+let magic = "PEPRUN"
+let version = 2
 
-(* A crash between [Filename.temp_file] and the rename in [write_file]
-   leaves a stray [*.tmp] behind; it is never read (loads go by exact
-   final name) but would accumulate, so sweep on store open. *)
-let sweep_tmp dir =
-  match Sys.readdir dir with
-  | entries ->
-      Array.iter
-        (fun f ->
-          if
-            (String.starts_with ~prefix:"run-" f
-            || String.starts_with ~prefix:"fleet-" f)
-            && Filename.check_suffix f ".tmp"
-          then
-            try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        entries
-  | exception Sys_error _ -> ()
+(* A profile line whose fields are all integers in canonical rendering
+   is stored as a varint row; anything else (and any line whose
+   re-rendering would differ, e.g. "007" or double spaces) falls back to
+   a raw string so encode∘decode is the identity on arbitrary input. *)
+let pack_line l =
+  match String.split_on_char ' ' l with
+  | [] -> None
+  | toks -> (
+      match
+        List.map
+          (fun t -> match int_of_string_opt t with
+            | Some v when t <> "" && string_of_int v = t -> Some v
+            | _ -> None)
+          toks
+      with
+      | ints when List.for_all Option.is_some ints ->
+          Some (List.map Option.get ints)
+      | _ -> None)
 
-let prepare_dir dir =
-  match ensure_dir dir with
-  | Error _ as e -> e
-  | Ok () ->
-      sweep_tmp dir;
-      (* probe writability now, so an unusable --cache-dir surfaces as
-         one structured diagnostic at open instead of a silent
-         recompute-every-run *)
-      let probe = Filename.concat dir ".pepsim-writable" in
-      (match Out_channel.with_open_bin probe (fun _ -> ()) with
-      | () ->
-          (try Sys.remove probe with Sys_error _ -> ());
-          Ok ()
-      | exception Sys_error m ->
-          Error (err dir ("cache directory is not writable: " ^ m)))
-
-(* --------------------------- raw file I/O -------------------------- *)
-
-let read_file file =
-  try
-    Ok
-      (In_channel.with_open_bin file (fun ic ->
-           In_channel.input_all ic))
-  with Sys_error m -> Error (err file ("unreadable: " ^ m))
-
-(* Atomic byte-level write (temp file in the target directory, then
-   rename), shared by the run cache and the fleet segment store. *)
-let write_file ?(tmp_prefix = "run-") ~file contents =
-  try
-    let dir = Filename.dirname file in
-    match ensure_dir dir with
-    | Error _ as e -> e
-    | Ok () -> (
-        let tmp = Filename.temp_file ~temp_dir:dir tmp_prefix ".tmp" in
-        try
-          Out_channel.with_open_bin tmp (fun oc ->
-              Out_channel.output_string oc contents);
-          Sys.rename tmp file;
-          Ok ()
-        with Sys_error m ->
-          (try Sys.remove tmp with Sys_error _ -> ());
-          Error (err file ("write failed: " ^ m)))
-  with Sys_error m -> Error (err file ("write failed: " ^ m))
-
-(* ---------------------------- save / load -------------------------- *)
-
-let save ~file ~key p =
-  let flat =
-    List.for_all
-      (fun l -> not (String.contains l '\n' || String.contains l '\r'))
-      (key :: (p.pep_paths @ p.pep_edges @ p.ppaths @ p.pedges))
+let encode ~key p =
+  let w = Bin.writer () in
+  Bin.raw w magic;
+  Bin.byte w version;
+  Bin.str w key;
+  Bin.int w p.iter1;
+  Bin.int w p.iter2;
+  Bin.int w p.compile;
+  Bin.int w p.checksum;
+  Bin.int w p.n_samples;
+  let section lines =
+    let packed =
+      let rows = List.map pack_line lines in
+      if List.for_all Option.is_some rows then
+        Some (List.map Option.get rows)
+      else None
+    in
+    match packed with
+    | Some rows ->
+        Bin.byte w 0;
+        Bin.int w (List.length rows);
+        List.iter
+          (fun row ->
+            Bin.int w (List.length row);
+            List.iter (Bin.int w) row)
+          rows
+    | None ->
+        Bin.byte w 1;
+        Bin.int w (List.length lines);
+        List.iter (Bin.str w) lines
   in
-  if not flat then
-    Error (err file "refusing to save: payload line contains a newline")
-  else
-    write_file ~file (Exp_codec.current.Exp_codec.encode ~key p)
+  section p.pep_paths;
+  section p.pep_edges;
+  section p.ppaths;
+  section p.pedges;
+  Bin.contents_with_digest w
 
-(* [load_versioned] also reports which codec decoded the entry, so
-   [Exp_cache] can transparently re-encode legacy entries in place. *)
-let load_versioned ~file ~key =
-  if not (Sys.file_exists file) then Ok None
-  else
-    match read_file file with
-    | Error _ as e -> e
-    | Ok contents -> (
-        match Exp_codec.sniff contents with
-        | `Codec c -> (
-            match c.Exp_codec.decode ~file ~key contents with
-            | Ok p -> Ok (Some (p, c.Exp_codec.version))
-            | Error _ as e -> e)
-        | `Unknown_version v ->
-            Error
-              (err file
-                 (Fmt.str "unsupported cache version v%d (want v%d)" v version))
-        | `Not_a_store_file ->
-            Error
-              (err file
-                 ~text:
-                   (String.sub contents 0 (min 32 (String.length contents)))
-                 "not a pepsim run-cache file"))
+let decode ~file ~key contents =
+  let fail reason = raise (Fail (err file reason)) in
+  try
+    let n = String.length contents in
+    if n < String.length magic + 1 then fail "truncated cache entry";
+    if String.sub contents 0 (String.length magic) <> magic then
+      fail "not a pepsim run-cache file";
+    let v = Char.code contents.[String.length magic] in
+    if v <> version then
+      fail (Fmt.str "unsupported cache version v%d (want v%d)" v version);
+    (* digest first: any flipped or missing byte is rejected before the
+       body is interpreted at all *)
+    if n < String.length magic + 1 + 16 then
+      fail "truncated cache entry (missing digest trailer)";
+    if not (Bin.check_digest contents) then
+      fail "corrupt cache entry (content digest mismatch)";
+    let r = Bin.reader ~pos:(String.length magic + 1) ~limit:(n - 16) contents in
+    let stored = Bin.rstr r in
+    if stored <> key then
+      fail
+        (Fmt.str
+           "stale cache entry: key mismatch (expected %S, found %S) — \
+            program, cost model or format changed since it was written"
+           key stored);
+    let iter1 = Bin.rint r in
+    let iter2 = Bin.rint r in
+    let compile = Bin.rint r in
+    let checksum = Bin.rint r in
+    let n_samples = Bin.rint r in
+    let section name =
+      let tag = Bin.rbyte r in
+      let k = Bin.rint r in
+      if k < 0 then fail (Fmt.str "negative %s section length" name);
+      match tag with
+      | 0 ->
+          List.init k (fun _ ->
+              let arity = Bin.rint r in
+              if arity < 0 then fail (Fmt.str "bad %s row arity" name);
+              String.concat " "
+                (List.init arity (fun _ -> string_of_int (Bin.rint r))))
+      | 1 -> List.init k (fun _ -> Bin.rstr r)
+      | t -> fail (Fmt.str "unknown %s section tag %d" name t)
+    in
+    let pep_paths = section "pep.paths" in
+    let pep_edges = section "pep.edges" in
+    let ppaths = section "ppaths" in
+    let pedges = section "pedges" in
+    if not (Bin.at_end r) then fail "trailing garbage in cache entry";
+    Ok
+      {
+        iter1;
+        iter2;
+        compile;
+        checksum;
+        n_samples;
+        pep_paths;
+        pep_edges;
+        ppaths;
+        pedges;
+      }
+  with
+  | Fail e -> Error e
+  | Bin.Malformed m -> Error (err file ("truncated cache entry (" ^ m ^ ")"))
+
+let save ~file ~key p = Durable.write_file ~file (encode ~key p)
 
 let load ~file ~key =
-  match load_versioned ~file ~key with
-  | Ok None -> Ok None
-  | Ok (Some (p, _)) -> Ok (Some p)
-  | Error _ as e -> e
+  if not (Sys.file_exists file) then Ok None
+  else
+    match Durable.read_file file with
+    | Error _ as e -> e
+    | Ok contents -> Result.map Option.some (decode ~file ~key contents)

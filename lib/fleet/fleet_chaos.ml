@@ -9,6 +9,32 @@
    fingerprint — sorted (file name, md5) pairs — not any summary
    statistic. *)
 
+(* A curated fleet plan and whether its faulted store must heal to the
+   healthy store's bytes. *)
+type case = { label : string; plan : Fault_plan.t; converges : bool }
+
+let case label spec converges =
+  { label; plan = Fault_plan.parse_exn spec; converges }
+
+(* [doomed] is the one plan allowed to lose data: crash at every window
+   with zero restarts loses every instance, so its windows land in the
+   degraded log instead of the store.  Everything else must converge —
+   crashes replay, torn writes heal on reopen, flips are quarantined
+   and re-collected, stragglers only delay. *)
+let curated =
+  [
+    case "noop" "noop" true;
+    case "crashy" "seed=11,crash=0.3,crash-restarts=10" true;
+    case "torn-writes" "seed=23,torn-write=0.5,seg-retries=3" true;
+    case "stragglers" "seed=31,straggler=0.6,straggler-timeout=3" true;
+    case "rotten-segments" "seed=47,seg-corrupt=0.4,seg-retries=3" true;
+    case "doomed" "seed=3,crash=1,crash-restarts=0" false;
+    case "fleet-sink"
+      "seed=13,crash=0.2,crash-restarts=10,torn-write=0.3,straggler=0.3,\
+       straggler-timeout=2,seg-corrupt=0.2,seg-retries=4"
+      true;
+  ]
+
 type report = {
   flabel : string;
   converges : bool;
@@ -51,13 +77,13 @@ let fleet_fired (c : Fault_injector.counts) =
   + c.Fault_injector.straggler + c.Fault_injector.seg_corrupt
   > 0
 
-let run_one ?jobs ~healthy_fp ~dir spec (c : Exp_chaos.fleet_case) =
-  let cdir = Filename.concat dir c.Exp_chaos.flabel in
-  let faulted = { spec with Fleet_collector.faults = c.Exp_chaos.fplan } in
+let run_one ?jobs ~healthy_fp ~dir spec (c : case) =
+  let cdir = Filename.concat dir c.label in
+  let faulted = { spec with Fleet_collector.faults = c.plan } in
   let base =
     {
-      flabel = c.Exp_chaos.flabel;
-      converges = c.Exp_chaos.converges;
+      flabel = c.label;
+      converges = c.converges;
       identical = false;
       counts = None;
       healed_open = 0;
@@ -90,17 +116,15 @@ let run_one ?jobs ~healthy_fp ~dir spec (c : Exp_chaos.fleet_case) =
           (match Fault_injector.accounted counts with
           | Ok () -> ()
           | Error m -> note "unaccounted degradation: %s" m);
-          let perturbs =
-            Fault_plan.perturbs_fleet c.Exp_chaos.fplan
-          in
+          let perturbs = Fault_plan.perturbs_fleet c.plan in
           if perturbs && not (fleet_fired counts) then
-            note "plan %s never fired" (Fault_plan.key c.Exp_chaos.fplan);
+            note "plan %s never fired" (Fault_plan.key c.plan);
           if (not perturbs) && not (zero_fleet counts) then
             note "non-perturbing plan recorded fleet faults")
       | None ->
-          if not (Fault_plan.is_empty c.Exp_chaos.fplan) then
+          if not (Fault_plan.is_empty c.plan) then
             note "active plan produced no fault accounting");
-      if c.Exp_chaos.converges then begin
+      if c.converges then begin
         if not identical then
           note "store diverged from the healthy run (%d vs %d segments)"
             (List.length fp) (List.length healthy_fp);
@@ -137,7 +161,7 @@ let run_one ?jobs ~healthy_fp ~dir spec (c : Exp_chaos.fleet_case) =
         violations = !violations;
       }
 
-let sweep ?jobs ?(cases = Exp_chaos.fleet_curated) ~dir spec =
+let sweep ?jobs ?(cases = curated) ~dir spec =
   let hdir = Filename.concat dir "healthy" in
   match
     Fleet_collector.run ?jobs ~dir:hdir

@@ -1,5 +1,5 @@
-(** Fleet-level chaos sweep: the collector under {!Exp_chaos}'s curated
-    fleet fault plans, checked against a healthy run of the same spec.
+(** Fleet-level chaos sweep: the collector under curated fleet fault
+    plans, checked against a healthy run of the same spec.
 
     The oracle is byte-level recovery convergence.  For each case the
     sweep asserts:
@@ -17,6 +17,22 @@
     - one clean rerun over the faulted store converges it to the
       healthy bytes (a no-op warm rerun when it already converged, a
       full re-collection of lost windows otherwise). *)
+
+(** A fleet-level plan ({!Fault_plan.perturbs_fleet} sites).
+    [converges] declares whether the faulted store must heal to the
+    healthy store's exact bytes: true for every recoverable plan, false
+    only for plans designed to lose data (which must account every loss
+    in the degraded log instead). *)
+type case = { label : string; plan : Fault_plan.t; converges : bool }
+
+(** [case label plan_spec converges], the plan parsed with
+    {!Fault_plan.parse_exn}. *)
+val case : string -> string -> bool -> case
+
+(** The standing fleet plans: [noop], seeded crash/torn-write/
+    straggler/segment-corruption plans, the data-losing [doomed]
+    (certain crash, zero restarts) and a [fleet-sink] mix. *)
+val curated : case list
 
 type report = {
   flabel : string;
@@ -39,7 +55,7 @@ val fingerprint : string -> (string * string) list
     [dir/<label>], returning one report per case in case order. *)
 val sweep :
   ?jobs:int ->
-  ?cases:Exp_chaos.fleet_case list ->
+  ?cases:case list ->
   dir:string ->
   Fleet_collector.spec ->
   report list

@@ -18,7 +18,8 @@
      and never re-instrument, so the cumulative PEP tables are
      monotone and per-window deltas are exact (an adaptive recompile
      would clear the method's path slot mid-stream).  The advice comes
-     from a per-cohort two-iteration adaptive warmup, phase 0.
+     from one two-iteration adaptive warmup ([Exp_harness.make_env]),
+     phase 0.
 
    - Compressed timer.  One application iteration is a window; at the
      default tick period a small iteration sees too few ticks to
@@ -88,13 +89,6 @@ type report = {
 
 let size_of spec = Option.value ~default:spec.workload.Workload.default_size spec.size
 
-let cost_of spec =
-  {
-    Cost_model.default with
-    Cost_model.tick_period =
-      max 1 (Cost_model.default.Cost_model.tick_period / max 1 spec.tick_shrink);
-  }
-
 let sampling_of spec = Sampling.pep ~samples:spec.samples ~stride:spec.stride
 
 (* The fleet's run configuration, identified the same way the run
@@ -118,77 +112,16 @@ let cohort_of spec (name, drift) =
     drift;
   }
 
-(* Per-cohort warmup: Exp_harness.make_env with the compressed timer —
-   adaptive two-iteration run in phase 0, advice captured.  Shared
-   across cohorts (steady and shift run the same program and seed; the
-   drift only applies to collection windows). *)
-let warmup_env spec =
-  let program = Workload.program ~size:(size_of spec) spec.workload in
-  Verify.program program;
-  let st = Machine.create ~cost:(cost_of spec) ~seed:spec.seed program in
-  let driver =
-    Driver.create
-      {
-        Driver.default_options with
-        Driver.mode =
-          Driver.Adaptive { thresholds = Driver.default_thresholds };
-      }
-      st
-  in
-  ignore (Driver.run driver);
-  ignore (Driver.run driver);
-  (program, Driver.advice driver)
-
 (* ------------------------ one instance's run ----------------------- *)
 
-(* Cursors over the cumulative tables, so each window snapshots its
-   delta.  All three tables are monotone in replay mode; [max 0] is
-   belt and braces. *)
+(* [Exp_window] cursors over the cumulative tables, so each window
+   snapshots its delta; all three tables are monotone in replay mode. *)
 type cursors = {
   c_paths : (int * int, int) Hashtbl.t;
   c_edges : (int * int, int * int) Hashtbl.t;
   c_dcg : (int * int, int) Hashtbl.t;
   mutable c_samples : int;
 }
-
-let delta3 tbl rows =
-  List.filter_map
-    (fun (a, b, c) ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt tbl (a, b)) in
-      Hashtbl.replace tbl (a, b) c;
-      if c - prev > 0 then Some (a, b, c - prev) else None)
-    rows
-
-let delta4 tbl rows =
-  List.filter_map
-    (fun (a, b, c, d) ->
-      let pc, pd = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl (a, b)) in
-      Hashtbl.replace tbl (a, b) (c, d);
-      let dc = max 0 (c - pc) and dd = max 0 (d - pd) in
-      if dc > 0 || dd > 0 then Some (a, b, dc, dd) else None)
-    rows
-
-let cumulative_paths (pep : Pep.t) =
-  let rows = ref [] in
-  Array.iteri
-    (fun mi prof ->
-      Path_profile.iter
-        (fun (e : Path_profile.entry) ->
-          if e.Path_profile.count > 0 then
-            rows := (mi, e.Path_profile.path_id, e.Path_profile.count) :: !rows)
-        prof)
-    pep.Pep.paths;
-  List.sort compare !rows
-
-let cumulative_edges (pep : Pep.t) =
-  let rows = ref [] in
-  Array.iteri
-    (fun mi prof ->
-      List.iter
-        (fun (br, (tk, nt)) -> rows := (mi, br, tk, nt) :: !rows)
-        (Edge_profile.entries prof))
-    pep.Pep.edges;
-  List.sort compare !rows
 
 let cumulative_dcg dcg = List.sort compare (Dcg.edges dcg)
 
@@ -211,7 +144,7 @@ let run_instance spec ~program ~advice ?faults instance =
   let ikey = Fleet.Instance_id.key instance in
   let attempt () =
     let st =
-      Machine.create ~cost:(cost_of spec)
+      Machine.create ~cost:(Exp_harness.compressed_cost spec.tick_shrink)
         ~seed:(Fleet.Instance_id.seed instance)
         program
     in
@@ -259,9 +192,17 @@ let run_instance spec ~program ~advice ?faults instance =
           let start_cycle = st.Machine.cycles in
           ignore (Driver.run driver);
           let end_cycle = st.Machine.cycles in
-          let paths = delta3 cursors.c_paths (cumulative_paths pep) in
-          let edges = delta4 cursors.c_edges (cumulative_edges pep) in
-          let dcg = delta3 cursors.c_dcg (cumulative_dcg (Driver.dcg driver)) in
+          let paths =
+            Exp_window.delta3 cursors.c_paths
+              (Exp_window.cumulative_paths pep.Pep.paths)
+          in
+          let edges =
+            Exp_window.delta4 cursors.c_edges
+              (Exp_window.cumulative_edges pep.Pep.edges)
+          in
+          let dcg =
+            Exp_window.delta3 cursors.c_dcg (cumulative_dcg (Driver.dcg driver))
+          in
           let total_samples = Pep.n_samples pep in
           let samples = max 0 (total_samples - cursors.c_samples) in
           cursors.c_samples <- total_samples;
@@ -371,7 +312,14 @@ let run ?(jobs = 1) ~dir spec =
               | Error qe -> diags := !diags @ [ qe ])
           | _ -> ())
         diags0;
-      let program, advice = warmup_env spec in
+      (* one phase-0 warmup under the compressed timer, shared across
+         cohorts (steady and shift run the same program and seed; the
+         drift only applies to collection windows) *)
+      let { Exp_harness.program; advice; _ } =
+        Exp_harness.make_env ~size:(size_of spec)
+          ~cost:(Exp_harness.compressed_cost spec.tick_shrink)
+          ~seed:spec.seed spec.workload
+      in
       let cohorts = List.map (cohort_of spec) spec.cohorts in
       let cold =
         List.filter (fun c -> not (covered ~existing spec c)) cohorts

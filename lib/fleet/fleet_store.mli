@@ -1,7 +1,7 @@
 (** Time-windowed, digest-protected profile segments.
 
-    The fleet's profile store: one compact binary file per segment
-    (reusing {!Exp_codec.Bin} and {!Exp_store}'s directory discipline),
+    The fleet's profile store: one compact binary file per segment,
+    on the disk discipline it shares with the run cache ({!Durable}),
     each carrying per-window {e deltas} of the path / edge / DCG tables
     plus the method-name table — queries never rebuild a program.
 
@@ -10,7 +10,13 @@
     merged segment ([origin = -1]) and deletes them; {!retain} trims
     the oldest windows.  File names are MD5s of the identity key;
     {!load_all} returns segments sorted by identity, so every store
-    scan is deterministic. *)
+    scan is deterministic.
+
+    The write-ahead journal, quarantine and degraded-data log belong to
+    this store alone.  A segment is the only copy of its window once
+    the instance is gone, so a torn write must be told apart from a
+    complete one.  The run cache needs none of that: a torn entry fails
+    its digest check and is recomputed. *)
 
 type segment = {
   cohort : Fleet.Cohort.t;
@@ -40,7 +46,7 @@ type recovery = { healed : int; late_commits : int }
 
 val no_recovery : recovery
 
-(** Prepare the store directory ({!Exp_store.prepare_dir}: create,
+(** Prepare the store directory ({!Durable.prepare_dir}: create,
     sweep stale temp files, probe writability — mkdir and IO failures
     come back as structured diagnostics) and run the write-ahead
     journal recovery scan: crash debris is removed, resolved journal

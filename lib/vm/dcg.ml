@@ -40,9 +40,10 @@ type parse_error = {
 }
 
 let pp_parse_error ppf e =
-  Fmt.pf ppf "%s:%d: %s (in %S)"
-    (Option.value e.file ~default:"<input>")
-    e.line e.reason e.text
+  Fmt.pf ppf "%s" (Option.value e.file ~default:"<input>");
+  if e.line > 0 then Fmt.pf ppf ":%d" e.line;
+  Fmt.pf ppf ": %s" e.reason;
+  if e.text <> "" then Fmt.pf ppf " (in %S)" e.text
 
 let parse_line t line =
   if String.trim line = "" then Ok ()

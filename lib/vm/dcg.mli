@@ -34,11 +34,13 @@ val to_lines : t -> string list
     {!Advice.of_lines}, whose line numbers refer to the advice file. *)
 type parse_error = {
   file : string option;  (** source file, when parsing one *)
-  line : int;  (** 1-based position in the input *)
-  text : string;  (** the offending line, trimmed *)
+  line : int;  (** 1-based position in the input; 0 for none *)
+  text : string;  (** the offending line, trimmed; [""] for none *)
   reason : string;
 }
 
+(** [file:line: reason (in "text")], leaving out [:line] when [line]
+    is 0 and [(in ...)] when [text] is empty. *)
 val pp_parse_error : parse_error Fmt.t
 
 (** Parse one ["<caller> <callee> <weight>"] line into [t] (blank lines

@@ -21,7 +21,6 @@ type options = {
   verify : bool;  (* re-verify bytecode after every optimization pass *)
   deep_verify : bool;  (* also run the dataflow lints on every compiled body *)
   engine : engine;  (* flat threaded code by default; interp oracle *)
-  tiers : Codegen.tiers;  (* engine-v2 tier policy: fusion + PIC ladder *)
   telemetry : Telemetry.t option;  (* host-side metrics/trace sink *)
   faults : Fault_injector.t option;  (* deterministic fault injection *)
 }
@@ -38,7 +37,6 @@ let default_options =
     verify = true;
     deep_verify = false;
     engine = `Threaded;
-    tiers = Codegen.default_tiers;
     telemetry = None;
     faults = None;
   }
@@ -324,12 +322,10 @@ let do_compile_opt d midx ~level =
      the arms of a switch, each a small fraction of its header — do
      fuse.  Methods reaching opt levels are hot by promotion, so this
      picks the executed paths within them. *)
-  (if d.opts.tiers.Codegen.fuse then begin
-     let freqs = Freq_estimate.block_freqs cm.cfg profile in
-     let top = Array.fold_left Float.max 0.0 freqs in
-     let hot = Array.map (fun f -> f > 0.0 && f >= 0.02 *. top) freqs in
-     Codegen.set_hot_blocks d.eng midx hot
-   end);
+  (let freqs = Freq_estimate.block_freqs cm.cfg profile in
+   let top = Array.fold_left Float.max 0.0 freqs in
+   let hot = Array.map (fun f -> f > 0.0 && f >= 0.02 *. top) freqs in
+   Codegen.set_hot_blocks d.eng midx hot);
   deep_verify_body d midx (Machine.cmeth d.st midx);
   (match (d.pep_state, d.opts.pep) with
   | Some p, Some popts ->
@@ -556,7 +552,7 @@ let create ?extra_hooks opts st =
       checks = [];
       hooks = Interp.no_hooks;
       instr = Codegen.no_instr;
-      eng = Codegen.create ?telemetry:opts.telemetry ~tiers:opts.tiers st;
+      eng = Codegen.create ?telemetry:opts.telemetry st;
       tstats;
       iterations = 0;
     }

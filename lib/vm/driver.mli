@@ -76,14 +76,6 @@ type options = {
           current fusion table for every optimized body
           ({!Pep_check.validate_fusion}, pass ["fusion"]). *)
   engine : engine;
-  tiers : Codegen.tiers;
-      (** engine-v2 tier policy: profile-guided superinstruction fusion
-          and the PIC promotion/demotion ladder.  When [fuse] is on the
-          driver derives a per-method hot-block mask from the same edge
-          profile the layout pass uses (blocks at least half as frequent
-          as the hottest) and feeds it to the engine at every optimizing
-          compile.  Tier choices never affect simulated semantics — only
-          host-side speed. *)
   telemetry : Telemetry.t option;
       (** host-side metrics/trace sink.  When present the driver
           registers the [vm.*] metrics (yieldpoint polls, ticks,

@@ -424,7 +424,9 @@ let test_hook_parity () =
   and st_t = Machine.create ~tick_offset:50 ~seed:3 p in
   let tr_o = ref [] and tr_t = ref [] in
   let r_o = Interp.run (trace_hooks tr_o) st_o in
-  let r_t = Codegen.run (Codegen.create ~hooks:(trace_hooks tr_t) st_t) in
+  let eng = Codegen.create st_t in
+  Codegen.set_instr eng { Codegen.no_instr with pre = trace_hooks tr_t };
+  let r_t = Codegen.run eng in
   check ci "result" r_o r_t;
   check ci "cycles" st_o.Machine.cycles st_t.Machine.cycles;
   check cb "hook event sequences identical" true (!tr_o = !tr_t);
@@ -438,16 +440,20 @@ let test_hook_switch () =
   let eng = Codegen.create st in
   let r1 = Codegen.run eng in
   let edges = ref 0 in
-  Codegen.set_hooks eng
+  Codegen.set_instr eng
     {
-      Interp.no_hooks with
-      on_edge = Some (fun _ _ ~src:_ ~idx:_ ~dst:_ -> incr edges);
+      Codegen.no_instr with
+      pre =
+        {
+          Interp.no_hooks with
+          on_edge = Some (fun _ _ ~src:_ ~idx:_ ~dst:_ -> incr edges);
+        };
     };
   let r2 = Codegen.run eng in
   check ci "same result under hooks" r1 r2;
   check cb "hooks fired" true (!edges > 0);
   let fired = !edges in
-  Codegen.set_hooks eng Interp.no_hooks;
+  Codegen.set_instr eng Codegen.no_instr;
   let r3 = Codegen.run eng in
   check ci "same result bare again" r1 r3;
   check ci "bare run fires no hooks" fired !edges
@@ -849,8 +855,8 @@ let fusion_program () =
         ];
     ]
 
-let all_hot_engine ?tiers st =
-  let eng = Codegen.create ?tiers st in
+let all_hot_engine ?fuse st =
+  let eng = Codegen.create ?fuse st in
   for midx = 0 to Program.n_methods st.Machine.program - 1 do
     let m = Program.method_of_index st.Machine.program midx in
     Codegen.set_hot_blocks eng midx
@@ -864,11 +870,7 @@ let test_fusion_patterns_differential () =
   and st_f = Machine.create ~seed:3 p
   and st_n = Machine.create ~seed:3 p in
   let fused = all_hot_engine st_f in
-  let nofuse =
-    all_hot_engine
-      ~tiers:{ Codegen.default_tiers with Codegen.fuse = false }
-      st_n
-  in
+  let nofuse = all_hot_engine ~fuse:false st_n in
   let r_o = Interp.run Interp.no_hooks st_o in
   let r_f = Codegen.run fused in
   let r_n = Codegen.run nofuse in

@@ -350,10 +350,10 @@ let test_tmp_sweep () =
   (match Exp_store.save ~file ~key:"legit" payload with
   | Ok () -> ()
   | Error e -> Alcotest.failf "save failed: %a" Dcg.pp_parse_error e);
-  (* a crash between temp-write and rename strands a run-*.tmp *)
-  let stray = Filename.concat dir "run-stranded.tmp" in
+  (* a crash between temp-write and rename strands a pepsim-*.tmp *)
+  let stray = Filename.concat dir "pepsim-stranded.tmp" in
   Out_channel.with_open_text stray (fun oc -> output_string oc "half a run");
-  (match Exp_store.prepare_dir dir with
+  (match Durable.prepare_dir dir with
   | Ok () -> ()
   | Error e -> Alcotest.failf "prepare_dir failed: %a" Dcg.pp_parse_error e);
   check cb "stray tmp swept" false (Sys.file_exists stray);
@@ -365,10 +365,10 @@ let test_tmp_sweep () =
 let test_ensure_dir_not_a_dir () =
   let file = Filename.temp_file "pepsim-faults" ".file" in
   let dir = Filename.concat file "cache" in
-  (match Exp_store.ensure_dir dir with
+  (match Durable.ensure_dir dir with
   | Ok () -> Alcotest.fail "created a directory under a regular file"
   | Error _ -> ());
-  match Exp_store.prepare_dir dir with
+  match Durable.prepare_dir dir with
   | Ok () -> Alcotest.fail "prepared a directory under a regular file"
   | Error _ -> Sys.remove file
 

@@ -500,8 +500,8 @@ let test_fleet_chaos_mini () =
   let dir = fresh_dir () in
   let cases =
     [
-      Exp_chaos.fleet_case "noop" "noop" true;
-      Exp_chaos.fleet_case "doomed" "seed=3,crash=1,crash-restarts=0" false;
+      Fleet_chaos.case "noop" "noop" true;
+      Fleet_chaos.case "doomed" "seed=3,crash=1,crash-restarts=0" false;
     ]
   in
   let reports = Fleet_chaos.sweep ~jobs:2 ~cases ~dir spec in

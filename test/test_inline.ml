@@ -217,7 +217,13 @@ let test_dcg () =
   | Error e ->
       check Alcotest.string "error rendering" "t.dcg:2: expected three \
         integers with a positive weight (in \"0 x 1\")"
-        (Fmt.str "%a" Dcg.pp_parse_error e)
+        (Fmt.str "%a" Dcg.pp_parse_error e);
+      (* a whole-file diagnostic has no line and no offending text *)
+      check Alcotest.string "error rendering without line or text"
+        "ec/0a.run: truncated cache entry"
+        (Fmt.str "%a" Dcg.pp_parse_error
+           { Dcg.file = Some "ec/0a.run"; line = 0; text = "";
+             reason = "truncated cache entry" })
 
 let test_driver_samples_dcg () =
   let program = small_program () in

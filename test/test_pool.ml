@@ -5,11 +5,10 @@
      cold on-disk cache, warm on-disk cache) is bit-identical — float
      bits, not tolerances — to the serial on-demand build, and so is
      every cached run's measurement;
-   - robustness: truncated, bit-flipped, wrong-version (text and
-     binary) and stale-keyed store entries are recomputed with a
-     structured diagnostic, never trusted and never crashed on; a
-     digest-valid tamper is caught by the re-lint; legacy text entries
-     load transparently and migrate to the binary codec in place;
+   - robustness: truncated, bit-flipped, wrong-version, old text-format
+     and stale-keyed store entries are recomputed and overwritten with
+     a structured diagnostic, never trusted and never crashed on; a
+     digest-valid tamper is caught by the re-lint;
    - the memoization contract: a config runs exactly once per cache,
      disk hits included;
    - config_key injectivity over randomized configurations, and the
@@ -220,15 +219,18 @@ let test_store_bit_flip () =
       Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor 1));
       write_all file (Bytes.to_string b))
 
-(* a forged digest does not save a wrong version: the version check runs
-   even on digest-consistent files — here a legacy text entry claiming a
-   version the text codec never wrote *)
+(* a valid digest does not save a wrong version: the version check runs
+   even on digest-consistent files — here a current entry relabelled
+   with a version byte the format never wrote, its trailer recomputed *)
 let test_store_wrong_version () =
-  recompute_after ~expect:"unsupported cache version" (fun file key ->
-      let body = [ "pepsim-run-cache v99"; "key store-v2|" ^ key ] in
-      write_lines file (body @ [ "digest " ^ Exp_store.digest_lines body ]))
+  recompute_after ~expect:"unsupported cache version" (fun file _key ->
+      let entry = read_all file in
+      let body = Bytes.of_string (String.sub entry 0 (String.length entry - 16)) in
+      Bytes.set body (String.length "PEPRUN") (Char.chr 99);
+      let body = Bytes.to_string body in
+      write_all file (body ^ Digest.string body))
 
-(* same for the binary frame: a future codec version is a structured
+(* and without a valid digest: a future version is a structured
    diagnostic, not a silent miss or a misparse *)
 let test_store_future_binary_version () =
   recompute_after ~expect:"unsupported cache version" (fun file _key ->
@@ -301,31 +303,21 @@ let test_store_lint_catches_valid_digest_tamper () =
   check cb "re-lint catches inflated counts" true
     (Pep_check.has_errors r.Exp_harness.checks)
 
-(* a legacy text (v1) entry is read transparently, served as a disk
-   hit, and re-encoded in place with the current binary codec *)
-let test_store_migrates_legacy_text () =
-  let dir = fresh_dir () in
-  let orig, file, key = populate dir in
-  let p =
-    match Exp_store.load ~file ~key with
-    | Ok (Some p) -> p
-    | Ok None -> Alcotest.fail "entry vanished"
-    | Error e -> Alcotest.failf "entry unreadable: %s" e.Dcg.reason
-  in
-  write_all file (Exp_codec.v1_text.Exp_codec.encode ~key p);
-  check cb "forged entry is text" true
-    (String.starts_with ~prefix:"pepsim-run-cache" (read_all file));
-  let cache = Exp_cache.create ~cache_dir:dir (Lazy.force rob_env) in
-  let r = Exp_cache.run cache rob_config in
-  check_meas "legacy entry serves the run" orig.Exp_harness.meas
-    r.Exp_harness.meas;
-  let s = Exp_cache.stats cache in
-  check ci "legacy entry is a disk hit" 1 s.Exp_cache.disk_hits;
-  check ci "no execution" 0 s.Exp_cache.executed;
-  check ci "no store errors" 0 s.Exp_cache.store_errors;
-  check ci "one migration" 1 s.Exp_cache.migrated;
-  check cb "entry re-encoded as binary" true
-    (String.starts_with ~prefix:"PEPRUN" (read_all file))
+(* an entry in the old line-oriented text format, digest and key both
+   valid for that format, is just an unrecognised file: rejected with a
+   diagnostic, recomputed, and overwritten in the binary format *)
+let test_store_rejects_text_format () =
+  let entry = ref "" in
+  recompute_after ~expect:"not a pepsim run-cache file" (fun file key ->
+      entry := file;
+      let body =
+        [ "pepsim-run-cache v2"; "key " ^ key; "meas 1 2 3 4"; "nsamples 0";
+          "pep.paths 0"; "pep.edges 0"; "ppaths 0"; "pedges 0" ]
+      in
+      let digest = Digest.to_hex (Digest.string (String.concat "\n" body)) in
+      write_lines file (body @ [ "digest " ^ digest ]));
+  check cb "entry rewritten as binary" true
+    (String.starts_with ~prefix:"PEPRUN" (read_all !entry))
 
 (* ------------------- memoization contract ------------------- *)
 
@@ -437,7 +429,6 @@ let gen_config =
           unroll;
           deep = false;
           engine;
-          tiers = Codegen.default_tiers;
           telemetry = None;
           faults;
         })
@@ -462,7 +453,6 @@ let same_config (a : Exp_harness.config) (b : Exp_harness.config) =
   a.profiling = b.profiling
   && same_opt a.opt_profile b.opt_profile
   && a.inline = b.inline && a.unroll = b.unroll && a.engine = b.engine
-  && a.tiers = b.tiers
   && Fault_plan.key a.faults = Fault_plan.key b.faults
 
 (* a structurally-equal but physically-distinct copy (fixed tables
@@ -493,9 +483,11 @@ let prop_config_key_injective =
     (QCheck.make gen_config_pair) (fun (a, b) ->
       (Exp_harness.config_key a = Exp_harness.config_key b) = same_config a b)
 
-let gen_flat_string =
+(* arbitrary bytes, with newlines, carriage returns and spaces common *)
+let gen_string =
   QCheck.Gen.(
-    string_size (int_range 0 30) ~gen:(map Char.chr (int_range 32 126)))
+    string_size (int_range 0 30)
+      ~gen:(frequency [ (3, char); (1, oneofl [ '\n'; '\r'; ' ' ]) ]))
 
 let gen_payload =
   QCheck.Gen.(
@@ -520,10 +512,10 @@ let gen_payload =
                (int_range (-1000000) 1000000))
             (pair (int_range (-1000000) 1000000) (int_range 0 100000)))
          (quad
-            (list_size (int_range 0 8) gen_flat_string)
-            (list_size (int_range 0 8) gen_flat_string)
-            (list_size (int_range 0 8) gen_flat_string)
-            (list_size (int_range 0 8) gen_flat_string))))
+            (list_size (int_range 0 8) gen_string)
+            (list_size (int_range 0 8) gen_string)
+            (list_size (int_range 0 8) gen_string)
+            (list_size (int_range 0 8) gen_string))))
 
 (* the binary codec in memory: encode∘decode is the identity on
    arbitrary payloads, and any single flipped bit — body, digest
@@ -531,19 +523,18 @@ let gen_payload =
 let prop_codec_binary =
   QCheck.Test.make ~count:200 ~name:"binary codec round trip and tamper"
     (QCheck.make
-       QCheck.Gen.(triple gen_payload gen_flat_string (int_range 0 100000)))
+       QCheck.Gen.(triple gen_payload gen_string (int_range 0 100000)))
     (fun (p, key, i) ->
       let key = "k|" ^ key in
-      let c = Exp_codec.v2_binary in
-      let enc = c.Exp_codec.encode ~key p in
-      (match c.Exp_codec.decode ~file:"mem" ~key enc with
+      let enc = Exp_store.encode ~key p in
+      (match Exp_store.decode ~file:"mem" ~key enc with
       | Ok p' when p' = p -> ()
       | Ok _ -> QCheck.Test.fail_report "payload changed through binary codec"
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e.Dcg.reason);
       let b = Bytes.of_string enc in
       let j = i mod Bytes.length b in
       Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor (1 lsl (i mod 8))));
-      (match c.Exp_codec.decode ~file:"mem" ~key (Bytes.to_string b) with
+      (match Exp_store.decode ~file:"mem" ~key (Bytes.to_string b) with
       | Error _ -> ()
       | Ok _ -> QCheck.Test.fail_report "tampered byte not rejected");
       true)
@@ -552,7 +543,7 @@ let rt_dir = lazy (fresh_dir ())
 
 let prop_store_round_trip =
   QCheck.Test.make ~count:100 ~name:"store save/load round trip"
-    (QCheck.make QCheck.Gen.(pair gen_payload gen_flat_string))
+    (QCheck.make QCheck.Gen.(pair gen_payload gen_string))
     (fun (p, key) ->
       let key = "k|" ^ key in
       let file = Filename.concat (Lazy.force rt_dir) "rt.run" in
@@ -586,8 +577,8 @@ let suite =
       test_store_stale_program;
     Alcotest.test_case "digest-valid tamper caught by re-lint" `Slow
       test_store_lint_catches_valid_digest_tamper;
-    Alcotest.test_case "legacy text entry migrates to binary" `Slow
-      test_store_migrates_legacy_text;
+    Alcotest.test_case "text-format entry rejected and rewritten" `Slow
+      test_store_rejects_text_format;
     Alcotest.test_case "all_runs records each run once" `Slow
       test_all_runs_records_once;
     QCheck_alcotest.to_alcotest prop_config_key_injective;
