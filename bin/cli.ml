@@ -11,10 +11,30 @@ open Cmdliner
 
 (* --- value conversions --------------------------------------------- *)
 
-let sampling_conv =
-  let parse s = Result.map_error (fun msg -> `Msg msg) (Sampling.parse s) in
-  let print ppf c = Fmt.string ppf (Sampling.name c) in
-  Arg.conv (parse, print)
+(* One {!Spec} grammar as a cmdliner converter: a rejected value is a
+   usage error (exit 2) that prints the structured {!Spec.error}. *)
+let conv parse print =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg (Spec.error_to_string e)) (parse s)),
+      fun ppf v -> Fmt.string ppf (print v) )
+
+let of_value ~axis (v : _ Spec.value) = conv (Spec.read ~axis v) v.Spec.show
+
+(* A count of at least one. *)
+let positive axis = of_value ~axis (Spec.int ~lo:1 ())
+
+(* A repeatable, comma-separable option: every occurrence's elements,
+   in order; [[]] when the option is absent. *)
+let repeated ~flag ~docv ~doc parse =
+  let each = conv (Spec.each parse) (fun _ -> "") and names = [ flag ] in
+  Term.(
+    const List.concat $ Arg.(value & opt_all each [] & info names ~docv ~doc))
+
+(* [repeated] over a fixed set of named choices. *)
+let choices ~flag ~docv ~doc named =
+  repeated ~flag ~docv ~doc (Spec.read ~axis:flag (Spec.enum named))
+
+let sampling_conv = conv Sampling.parse Sampling.name
 
 (* --- the table ----------------------------------------------------- *)
 
@@ -51,14 +71,8 @@ let faults_arg =
      $(b,@FILE) reads clauses from a file.  The empty spec injects \
      nothing and is bit-identical to omitting the flag."
   in
-  Arg.(value & opt string "" & info [ "faults" ] ~docv:"SPEC" ~doc)
-
-let parse_faults spec =
-  match Fault_plan.parse spec with
-  | Ok plan -> plan
-  | Error msg ->
-      Printf.eprintf "--faults: %s\n" msg;
-      exit 2
+  let plan = conv Fault_plan.parse Fault_plan.key in
+  Arg.(value & opt plan Fault_plan.empty & info [ "faults" ] ~docv:"SPEC" ~doc)
 
 let jobs_arg =
   Arg.(
@@ -151,10 +165,6 @@ let find_workload name =
       Printf.eprintf "%s; try `pepsim list` or `pepsim gen describe`\n" msg;
       exit 2
 
-(* Repeatable, comma-separable option values, blanks dropped. *)
-let split_commas xs =
-  List.filter (fun s -> s <> "") (List.concat_map (String.split_on_char ',') xs)
-
 (* Comma-separable *workload* lists: a [gen:] spec itself contains
    commas, so axis fragments (key=value, not themselves a spec) are
    re-attached to the preceding gen: fragment instead of being taken
@@ -169,4 +179,4 @@ let split_workloads xs =
                 && String.contains part '=' ->
              (prev ^ "," ^ part) :: rest
          | _ -> part :: acc)
-       [] (split_commas xs))
+       [] (List.concat_map (Spec.split ',') xs))

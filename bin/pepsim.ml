@@ -166,9 +166,7 @@ let workload_cmd =
              compiled body and print the combined diagnostics (implies the \
              reporting part of $(b,--verify)).")
   in
-  let action name size sampling seed verify deep cache_dir no_cache faults_spec
-      =
-    let faults = Cli.parse_faults faults_spec in
+  let action name size sampling seed verify deep cache_dir no_cache faults =
     match Cli.find_workload name with
     | w ->
         let cache_dir = if no_cache then None else cache_dir in
@@ -218,12 +216,9 @@ let workload_cmd =
 
 let experiments_cmd =
   let only_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "only" ] ~docv:"ID"
-          ~doc:
-            "Run only this experiment (repeatable, comma-separable); \
-             default: all.")
+    Cli.choices ~flag:"only" ~docv:"ID"
+      ~doc:"Run only this experiment (repeatable, comma-separable); default: all."
+      (List.map (fun id -> (id, id)) Exp_figures.ids)
   in
   let scale_arg = Cli.scale_arg ~default:1.0 in
   let trace_arg =
@@ -235,23 +230,9 @@ let experiments_cmd =
             "Attach a telemetry sink to every run and write a Chrome \
              trace of the whole experiment sweep to $(i,FILE).")
   in
-  let action only scale seed verify trace_out jobs cache_dir no_cache
-      faults_spec =
-    let faults = Cli.parse_faults faults_spec in
+  let action only scale seed verify trace_out jobs cache_dir no_cache faults =
     let cache_dir = if no_cache then None else cache_dir in
-    let only =
-      List.filter
-        (fun id -> id <> "")
-        (List.concat_map (String.split_on_char ',') only)
-    in
     let ids = if only = [] then Exp_figures.ids else only in
-    List.iter
-      (fun id ->
-        if not (List.mem id Exp_figures.ids) then begin
-          Printf.eprintf "unknown experiment %s; try `pepsim list`\n" id;
-          exit 2
-        end)
-      ids;
     Printf.printf "preparing %d benchmarks (scale %.2f, jobs %d)...\n%!"
       (List.length Suite.names) scale jobs;
     let telemetry =
@@ -509,9 +490,8 @@ let trace_cmd =
       value & flag
       & info [ "metrics" ] ~doc:"Also print the metrics registry.")
   in
-  let action name out metrics size sampling seed iters advice_file faults_spec =
+  let action name out metrics size sampling seed iters advice_file faults =
     let w = Cli.find_workload name in
-    let faults = Cli.parse_faults faults_spec in
     let tel, _d =
       telemetry_run ~tracing:true ~size ~seed ~sampling ~iters ~advice_file
         ~faults w
@@ -835,7 +815,8 @@ let check_cmd =
 let chaos_cmd =
   let seeds_arg =
     Arg.(
-      value & opt string "42"
+      value
+      & opt (Cli.of_value ~axis:"seed" (Spec.list (Spec.int ()))) [ 42 ]
       & info [ "seed" ] ~docv:"N[,N...]"
           ~doc:"Input seed(s) to sweep (comma-separable).")
   in
@@ -849,12 +830,13 @@ let chaos_cmd =
              default: the whole suite.")
   in
   let case_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "case" ] ~docv:"LABEL"
-          ~doc:
-            "Run only this curated plan (repeatable, comma-separable); \
-             default: all of them.")
+    Cli.choices ~flag:"case" ~docv:"LABEL"
+      ~doc:
+        "Run only this curated plan (repeatable, comma-separable); \
+         default: all of them."
+      (List.map
+         (fun (c : Exp_chaos.case) -> (c.Exp_chaos.label, c))
+         Exp_chaos.curated)
   in
   let max_loss_arg =
     Arg.(
@@ -864,43 +846,11 @@ let chaos_cmd =
             "Accuracy-loss bound for the custom $(b,--faults) plan \
              (1 - absolute overlap vs the healthy run).")
   in
-  let action seeds scale jobs only case_labels faults_spec max_loss =
-    let split_commas xs = Cli.split_commas xs in
-    let seeds =
-      List.map
-        (fun s ->
-          match int_of_string_opt (String.trim s) with
-          | Some n -> n
-          | None ->
-              Printf.eprintf "--seed: %s is not an integer\n" s;
-              exit 2)
-        (split_commas [ seeds ])
-    in
+  let action seeds scale jobs only cases faults max_loss =
+    let cases = if cases = [] then Exp_chaos.curated else cases in
     let cases =
-      match split_commas case_labels with
-      | [] -> Exp_chaos.curated
-      | labels ->
-          List.map
-            (fun l ->
-              match
-                List.find_opt
-                  (fun (c : Exp_chaos.case) -> c.Exp_chaos.label = l)
-                  Exp_chaos.curated
-              with
-              | Some c -> c
-              | None ->
-                  Printf.eprintf "unknown chaos case %s; have: %s\n" l
-                    (String.concat " "
-                       (List.map
-                          (fun (c : Exp_chaos.case) -> c.Exp_chaos.label)
-                          Exp_chaos.curated));
-                  exit 2)
-            labels
-    in
-    let cases =
-      match Cli.parse_faults faults_spec with
-      | p when Fault_plan.is_empty p -> cases
-      | plan -> cases @ [ { Exp_chaos.label = "custom"; plan; max_loss } ]
+      if Fault_plan.is_empty faults then cases
+      else cases @ [ { Exp_chaos.label = "custom"; plan = faults; max_loss } ]
     in
     let only = Cli.split_workloads only in
     (* non-suite targets (phased workloads, gen: specs) get their own
@@ -983,26 +933,6 @@ let fleet_to_arg =
     & opt (some int) None
     & info [ "to" ] ~docv:"W" ~doc:"Last window index to include.")
 
-(* "NAME=steady" or "NAME=shift@W=P", the grammar Fleet.Drift.key
-   prints — so a cohort list can be round-tripped from any report *)
-let parse_cohort spec =
-  match String.index_opt spec '=' with
-  | None -> Error (Fmt.str "bad cohort %S: expected NAME=DRIFT" spec)
-  | Some i -> (
-      let name = String.sub spec 0 i in
-      let drift = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match drift with
-      | "" | "steady" -> Ok (name, Fleet.Drift.No_drift)
-      | _ -> (
-          match Scanf.sscanf_opt drift "shift@%d=%d" (fun w p -> (w, p)) with
-          | Some (at_window, phase) when at_window >= 0 && phase > 0 ->
-              Ok (name, Fleet.Drift.Phase_shift { at_window; phase })
-          | Some _ | None ->
-              Error
-                (Fmt.str
-                   "bad cohort %S: drift must be `steady' or `shift@W=P'"
-                   spec)))
-
 let load_segments ~dir =
   let segments, diags = Fleet_store.load_all ~dir in
   List.iter (fun e -> Fmt.epr "fleet: %a@." Dcg.pp_parse_error e) diags;
@@ -1023,38 +953,30 @@ let fleet_workload_arg =
 
 let fleet_run_cmd =
   let cohorts_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "cohort" ] ~docv:"NAME=DRIFT"
-          ~doc:
-            "Add a cohort (repeatable, comma-separable): $(i,NAME=steady) \
-             or $(i,NAME=shift@W=P) (shift to phase P at window W).  \
-             Default: the steady/shift pair.")
+    Cli.repeated ~flag:"cohort" ~docv:"NAME=DRIFT"
+      ~doc:
+        "Add a cohort (repeatable, comma-separable): $(i,NAME=steady) or \
+         $(i,NAME=shift@W=P) (shift to phase P at window W).  Default: \
+         the steady/shift pair."
+      Fleet.Drift.of_key
   in
   let instances_arg =
     Arg.(
-      value & opt int 8
+      value
+      & opt (Cli.positive "instances") 8
       & info [ "instances" ] ~docv:"N" ~doc:"Simulated VM instances per cohort.")
   in
   let windows_arg =
     Arg.(
-      value & opt int 4
+      value
+      & opt (Cli.positive "windows") 4
       & info [ "windows" ] ~docv:"N"
           ~doc:"Collection windows (one application iteration each).")
   in
-  let samples_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "samples" ] ~docv:"N" ~doc:"PEP sampling burst length.")
-  in
-  let stride_arg =
-    Arg.(
-      value & opt int 17
-      & info [ "stride" ] ~docv:"N" ~doc:"PEP sampling stride.")
-  in
   let tick_shrink_arg =
     Arg.(
-      value & opt int 8
+      value
+      & opt (Cli.positive "tick-shrink") 8
       & info [ "tick-shrink" ] ~docv:"N"
           ~doc:
             "Compress the simulated timer period by N so short windows \
@@ -1078,23 +1000,18 @@ let fleet_run_cmd =
   let retain_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (Cli.positive "retain")) None
       & info [ "retain" ] ~docv:"N"
           ~doc:"Keep only each cohort's newest N windows after compaction.")
   in
-  let action dir workload size seed samples stride jobs instances windows
-      tick_shrink drift_at keep_raw retain cohort_specs faults_spec =
-    let require_pos name v =
-      if v < 1 then begin
-        Printf.eprintf "--%s: expected an integer >= 1, got %d\n" name v;
-        exit 2
-      end
-    in
-    require_pos "instances" instances;
-    require_pos "windows" windows;
-    require_pos "tick-shrink" tick_shrink;
-    Option.iter (require_pos "retain") retain;
-    let faults = Cli.parse_faults faults_spec in
+  let action dir workload size seed sampling jobs instances windows tick_shrink
+      drift_at keep_raw retain cohorts faults =
+    let { Sampling.samples; stride; full_ag } = sampling in
+    if full_ag || samples = 0 then begin
+      Printf.eprintf "--sampling: fleet runs take PEP(S,T) specs, not %s\n"
+        (Sampling.name sampling);
+      exit 2
+    end;
     if Fault_plan.perturbs_execution faults then begin
       Printf.eprintf
         "--faults: fleet runs only accept fleet-level sites (crash, \
@@ -1105,21 +1022,13 @@ let fleet_run_cmd =
     let w = Cli.find_workload workload in
     let at_window = Option.value ~default:(windows / 2) drift_at in
     let cohorts =
-      match Cli.split_commas cohort_specs with
+      match cohorts with
       | [] ->
           [
             ("steady", Fleet.Drift.No_drift);
             ("shift", Fleet.Drift.Phase_shift { at_window; phase = 1 });
           ]
-      | specs ->
-          List.map
-            (fun s ->
-              match parse_cohort s with
-              | Ok c -> c
-              | Error msg ->
-                  Printf.eprintf "--cohort: %s\n" msg;
-                  exit 2)
-            specs
+      | cohorts -> cohorts
     in
     let spec =
       Fleet_collector.default_spec ?size ~seed ~samples ~stride ~instances
@@ -1169,7 +1078,7 @@ let fleet_run_cmd =
           profile snapshots into the segment store")
     Term.(
       const action $ fleet_dir_arg $ fleet_workload_arg $ Cli.size_arg $ Cli.seed_arg
-      $ samples_arg $ stride_arg $ Cli.jobs_arg $ instances_arg $ windows_arg
+      $ Cli.sampling_arg $ Cli.jobs_arg $ instances_arg $ windows_arg
       $ tick_shrink_arg $ drift_at_arg $ keep_raw_arg $ retain_arg
       $ cohorts_arg $ Cli.faults_arg)
 
@@ -1331,9 +1240,10 @@ let fleet_diff_cmd =
 
 let fleet_watch_cmd =
   let rules_file_arg =
+    let print rules = String.concat "\n" (List.map Fleet_watch.rule_to_line rules) in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (Cli.conv Fleet_watch.load_rules print)) None
       & info [ "rules" ] ~docv:"FILE"
           ~doc:
             "Alert rules file: one rule per line, $(i,NAME \
@@ -1343,13 +1253,15 @@ let fleet_watch_cmd =
   in
   let rule_arg =
     Arg.(
-      value & opt_all string []
+      value
+      & opt_all (Cli.conv Fleet_watch.parse_rule Fleet_watch.rule_to_line) []
       & info [ "rule" ] ~docv:"RULE"
           ~doc:"Add one inline rule (repeatable; same grammar as --rules).")
   in
   let persist_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt (Cli.positive "persist") 1
       & info [ "persist" ] ~docv:"N"
           ~doc:
             "Consecutive windows a finding must hold before the default \
@@ -1357,7 +1269,8 @@ let fleet_watch_cmd =
   in
   let baseline_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt (Cli.positive "baseline-windows") 1
       & info [ "baseline-windows" ] ~docv:"N"
           ~doc:"Per-cohort baseline aggregate width, in windows.")
   in
@@ -1373,39 +1286,10 @@ let fleet_watch_cmd =
       & info [ "edge-shift" ] ~docv:"F"
           ~doc:"Taken-bias delta flagging an edge-flow shift.")
   in
-  let action dir rules_file inline_rules persist baseline_windows new_share
-      edge_shift =
-    if persist < 1 then begin
-      Printf.eprintf "--persist: expected an integer >= 1, got %d\n" persist;
-      exit 2
-    end;
-    if baseline_windows < 1 then begin
-      Printf.eprintf "--baseline-windows: expected an integer >= 1, got %d\n"
-        baseline_windows;
-      exit 2
-    end;
-    let from_file =
-      match rules_file with
-      | None -> []
-      | Some f -> (
-          match Fleet_watch.load_rules f with
-          | Ok rs -> rs
-          | Error m ->
-              Printf.eprintf "--rules: %s\n" m;
-              exit 2)
-    in
-    let inline =
-      List.map
-        (fun line ->
-          match Fleet_watch.parse_rule line with
-          | Ok r -> r
-          | Error m ->
-              Printf.eprintf "--rule: %s\n" m;
-              exit 2)
-        inline_rules
-    in
+  let action dir from_file inline persist baseline_windows new_share edge_shift
+      =
     let rules =
-      match from_file @ inline with
+      match Option.value ~default:[] from_file @ inline with
       | [] -> Fleet_watch.default_rules ~persist ()
       | rs -> rs
     in
@@ -1439,52 +1323,27 @@ let fleet_chaos_cmd =
   in
   let instances_arg =
     Arg.(
-      value & opt int 2
+      value
+      & opt (Cli.positive "instances") 2
       & info [ "instances" ] ~docv:"N" ~doc:"Simulated VM instances per cohort.")
   in
   let windows_arg =
     Arg.(
-      value & opt int 3
+      value
+      & opt (Cli.positive "windows") 3
       & info [ "windows" ] ~docv:"N" ~doc:"Collection windows per instance.")
   in
   let case_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "case" ] ~docv:"LABEL"
-          ~doc:
-            "Run only this curated fleet plan (repeatable, \
-             comma-separable); default: all of them.")
+    Cli.choices ~flag:"case" ~docv:"LABEL"
+      ~doc:
+        "Run only this curated fleet plan (repeatable, comma-separable); \
+         default: all of them."
+      (List.map
+         (fun (c : Fleet_chaos.case) -> (c.Fleet_chaos.label, c))
+         Fleet_chaos.curated)
   in
-  let action dir workload size seed jobs instances windows case_labels =
-    let require_pos name v =
-      if v < 1 then begin
-        Printf.eprintf "--%s: expected an integer >= 1, got %d\n" name v;
-        exit 2
-      end
-    in
-    require_pos "instances" instances;
-    require_pos "windows" windows;
-    let cases =
-      match Cli.split_commas case_labels with
-      | [] -> Fleet_chaos.curated
-      | labels ->
-          List.map
-            (fun l ->
-              match
-                List.find_opt
-                  (fun (c : Fleet_chaos.case) -> c.Fleet_chaos.label = l)
-                  Fleet_chaos.curated
-              with
-              | Some c -> c
-              | None ->
-                  Printf.eprintf "unknown fleet chaos case %s; have: %s\n" l
-                    (String.concat " "
-                       (List.map
-                          (fun (c : Fleet_chaos.case) -> c.Fleet_chaos.label)
-                          Fleet_chaos.curated));
-                  exit 2)
-            labels
-    in
+  let action dir workload size seed jobs instances windows cases =
+    let cases = if cases = [] then Fleet_chaos.curated else cases in
     let w = Cli.find_workload workload in
     let spec =
       Fleet_collector.default_spec ?size ~seed ~instances ~windows w
@@ -1534,19 +1393,12 @@ let fleet_cmd =
 let gen_spec_arg =
   Arg.(
     required
-    & pos 0 (some string) None
+    & pos 0 (some (Cli.conv Wgen.parse Wgen.print)) None
     & info [] ~docv:"SPEC"
         ~doc:
           "Workload spec string, e.g. \
            $(b,gen:seed=7,phases=3,mega=6,diamonds=12).  Omitted axes \
            take their defaults; $(b,gen:) alone is the default spec.")
-
-let parse_gen_spec s =
-  match Wgen.parse s with
-  | Ok spec -> spec
-  | Error e ->
-      Printf.eprintf "%s\n" (Wgen.error_to_string e);
-      exit 2
 
 let gen_windows_arg =
   Arg.(
@@ -1562,8 +1414,7 @@ let gen_windows spec = function
   | None -> max 6 (2 * spec.Wgen.phases)
 
 let gen_describe_cmd =
-  let action s windows =
-    let spec = parse_gen_spec s in
+  let action spec windows =
     let windows = gen_windows spec windows in
     let w = Wgen.workload spec in
     let program = Workload.program ~size:2 w in
@@ -1589,8 +1440,7 @@ let gen_describe_cmd =
     Term.(const action $ gen_spec_arg $ gen_windows_arg)
 
 let gen_emit_cmd =
-  let action s out =
-    let spec = parse_gen_spec s in
+  let action spec out =
     let program = Workload.program (Wgen.workload spec) in
     Verify.program program;
     let pp ppf () =
@@ -1611,8 +1461,7 @@ let gen_emit_cmd =
       $ Cli.out_arg ~docv:"FILE" ~doc:"Write the listing to FILE (default: stdout).")
 
 let gen_run_cmd =
-  let action s size sampling seed verify =
-    let spec = parse_gen_spec s in
+  let action spec size sampling seed verify =
     let w = Wgen.workload spec in
     let size = Option.value ~default:w.Workload.default_size size in
     let env = Exp_harness.make_env ~size ~seed w in
@@ -1663,8 +1512,7 @@ let gen_accuracy_cmd =
       & info [ "strict" ]
           ~doc:"Exit 1 unless accuracy recovers after every phase shift.")
   in
-  let action s windows size seed threshold strict out =
-    let spec = parse_gen_spec s in
+  let action spec windows size seed threshold strict out =
     let windows = gen_windows spec windows in
     let series = Exp_drift.run_spec ~windows ~threshold ?size ~seed spec in
     Exp_figures.print (Exp_drift.figure series);

@@ -17,40 +17,32 @@ let name c =
 
 let default = pep ~samples:64 ~stride:17
 
-(* Accepts [name]'s output as well as the colon form. *)
+(* Accepts [name]'s output as well as the colon form; the counts are
+   {!Spec} integers, so nothing trails them. *)
 let parse s =
-  let counts a b =
-    match (int_of_string_opt (String.trim a), int_of_string_opt (String.trim b)) with
-    | Some samples, Some stride when samples > 0 && stride > 0 ->
-        Some (samples, stride)
-    | _ -> None
-  in
-  let burst kind a b =
-    match (kind, counts a b) with
-    | "pep", Some (samples, stride) -> Some (pep ~samples ~stride)
-    | "ag", Some (samples, stride) -> Some (arnold_grove ~samples ~stride)
-    | _ -> None
-  in
   let spec = String.lowercase_ascii (String.trim s) in
-  let parsed =
-    match spec with
-    | "none" | "instr-only" -> Some never
-    | "timer" -> Some timer_based
-    | _ -> (
-        match String.split_on_char ':' spec with
-        | [ kind; a; b ] -> burst kind a b
-        | _ -> (
-            match String.index_opt spec '(' with
-            | Some i when String.ends_with ~suffix:")" spec -> (
-                let args = String.sub spec (i + 1) (String.length spec - i - 2) in
-                match String.split_on_char ',' args with
-                | [ a; b ] -> burst (String.sub spec 0 i) a b
-                | _ -> None)
-            | Some _ | None -> None))
+  let args =
+    match String.index_opt spec '(' with
+    | Some i when String.ends_with ~suffix:")" spec ->
+        let inner = String.sub spec (i + 1) (String.length spec - i - 2) in
+        String.sub spec 0 i :: String.split_on_char ',' inner
+    | Some _ | None -> String.split_on_char ':' spec
   in
-  match parsed with
-  | Some c -> Ok c
-  | None -> Error (Fmt.str "bad sampling spec %S" s)
+  let count axis x = Spec.read ~axis (Spec.int ~lo:1 ()) (String.trim x) in
+  match (spec, args) with
+  | ("none" | "instr-only"), _ -> Ok never
+  | "timer", _ -> Ok timer_based
+  | _, [ (("pep" | "ag") as kind); a; b ] -> (
+      match (count "samples" a, count "stride" b) with
+      | Ok samples, Ok stride -> Ok { samples; stride; full_ag = kind = "ag" }
+      | Error e, _ | _, Error e -> Error e)
+  | _ ->
+      Error
+        {
+          Spec.axis = "sampling";
+          value = s;
+          reason = "expected PEP(S,T), AG(S,T), pep:S:T, ag:S:T, timer or instr-only";
+        }
 
 type t = {
   config : config;

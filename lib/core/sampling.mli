@@ -38,8 +38,8 @@ val default : config
 (** Parse a sampling spec, case-insensitively: {!name}'s output
     ([PEP(S,T)], [AG(S,T)], [instr-only]), the colon forms [pep:S:T]
     and [ag:S:T], [timer] and [none].  [parse (name c) = Ok c] for
-    every config.  [Error] carries a message naming the spec. *)
-val parse : string -> (config, string) result
+    every config.  The counts are {!Spec.int}s >= 1. *)
+val parse : string -> (config, Spec.error) result
 
 type t
 

@@ -64,157 +64,73 @@ let is_empty t =
   && t.straggler = 0.
   && t.seg_corrupt = 0.
 
-(* Probabilities print with enough digits to round-trip exactly for the
-   precisions specs use; %.12g keeps 0.1 as "0.1". *)
-let pp_prob ppf p = Fmt.pf ppf "%.12g" p
-
-let key t =
-  if is_empty t then ""
-  else begin
-    let buf = Buffer.create 48 in
-    let add fmt = Fmt.kstr (fun s ->
-        if Buffer.length buf > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf s) fmt
+(* The clause table: one row per key, in key order.  A clause shows
+   in [key] when it differs from [empty]; the retry, restart, timeout
+   and backoff knobs only show next to the fault they qualify. *)
+let fields =
+  let open Spec in
+  let count ?(lo = 0) ?fault key get set =
+    let shown t =
+      get t <> get empty && Option.fold ~none:true ~some:(fun f -> f t > 0.) fault
     in
-    if t.seed <> 0 then add "seed=%d" t.seed;
-    if t.noop then add "noop";
-    (match t.path_capacity with Some n -> add "path-cap=%d" n | None -> ());
-    (match t.edge_capacity with Some n -> add "edge-cap=%d" n | None -> ());
-    if t.compile_fail > 0. then begin
-      add "compile-fail=%a" pp_prob t.compile_fail;
-      if t.compile_retries <> empty.compile_retries then
-        add "compile-retries=%d" t.compile_retries;
-      if t.compile_backoff <> empty.compile_backoff then
-        add "compile-backoff=%d" t.compile_backoff
-    end;
-    if t.sample_overrun > 0. then add "sample-overrun=%a" pp_prob t.sample_overrun;
-    if t.corrupt > 0. then add "corrupt=%a" pp_prob t.corrupt;
-    if t.crash > 0. then begin
-      add "crash=%a" pp_prob t.crash;
-      if t.crash_restarts <> empty.crash_restarts then
-        add "crash-restarts=%d" t.crash_restarts
-    end;
-    if t.torn_write > 0. then add "torn-write=%a" pp_prob t.torn_write;
-    if t.straggler > 0. then begin
-      add "straggler=%a" pp_prob t.straggler;
-      if t.straggler_timeout <> empty.straggler_timeout then
-        add "straggler-timeout=%d" t.straggler_timeout
-    end;
-    if t.seg_corrupt > 0. then begin
-      add "seg-corrupt=%a" pp_prob t.seg_corrupt;
-      if t.seg_retries <> empty.seg_retries then
-        add "seg-retries=%d" t.seg_retries
-    end;
-    Buffer.contents buf
-  end
+    field ~shown key (int ~lo ()) get set
+  in
+  let cap key get set =
+    field ~shown:(fun t -> get t <> None) key (some (int ~lo:0 ())) get set
+  in
+  let prob key get set = field ~shown:(fun t -> get t > 0.) key fraction get set in
+  let compile_fail t = t.compile_fail and crash t = t.crash in
+  let straggler t = t.straggler and seg_corrupt t = t.seg_corrupt in
+  [
+    count "seed" (fun t -> t.seed) (fun t seed -> { t with seed });
+    flag "noop" (fun t -> t.noop) (fun t noop -> { t with noop });
+    cap "path-cap" (fun t -> t.path_capacity) (fun t v -> { t with path_capacity = v });
+    cap "edge-cap" (fun t -> t.edge_capacity) (fun t v -> { t with edge_capacity = v });
+    prob "compile-fail" compile_fail (fun t compile_fail -> { t with compile_fail });
+    count "compile-retries" ~fault:compile_fail
+      (fun t -> t.compile_retries)
+      (fun t compile_retries -> { t with compile_retries });
+    count "compile-backoff" ~lo:1 ~fault:compile_fail
+      (fun t -> t.compile_backoff)
+      (fun t compile_backoff -> { t with compile_backoff });
+    prob "sample-overrun"
+      (fun t -> t.sample_overrun)
+      (fun t sample_overrun -> { t with sample_overrun });
+    prob "corrupt" (fun t -> t.corrupt) (fun t corrupt -> { t with corrupt });
+    prob "crash" crash (fun t crash -> { t with crash });
+    count "crash-restarts" ~fault:crash
+      (fun t -> t.crash_restarts)
+      (fun t crash_restarts -> { t with crash_restarts });
+    prob "torn-write" (fun t -> t.torn_write) (fun t v -> { t with torn_write = v });
+    prob "straggler" straggler (fun t straggler -> { t with straggler });
+    count "straggler-timeout" ~lo:1 ~fault:straggler
+      (fun t -> t.straggler_timeout)
+      (fun t straggler_timeout -> { t with straggler_timeout });
+    prob "seg-corrupt" seg_corrupt (fun t seg_corrupt -> { t with seg_corrupt });
+    count "seg-retries" ~fault:seg_corrupt
+      (fun t -> t.seg_retries)
+      (fun t seg_retries -> { t with seg_retries });
+  ]
+
+let key t = if is_empty t then "" else String.concat "," (Spec.encode fields t)
 
 let pp ppf t =
   if is_empty t then Fmt.string ppf "(no faults)" else Fmt.string ppf (key t)
 
-let clause_err clause reason =
-  Error (Fmt.str "bad fault clause %S: %s" clause reason)
-
-let parse_clauses clauses =
-  let int_of clause v ~min =
-    match int_of_string_opt v with
-    | Some n when n >= min -> Ok n
-    | Some _ | None ->
-        clause_err clause (Fmt.str "expected an integer >= %d" min)
-  in
-  let prob_of clause v =
-    match float_of_string_opt v with
-    | Some p when p >= 0. && p <= 1. -> Ok p
-    | Some _ | None -> clause_err clause "expected a probability in [0,1]"
-  in
-  let rec go t = function
-    | [] -> Ok t
-    | clause :: rest -> (
-        let bind r k = match r with Ok v -> k v | Error _ as e -> e in
-        let continue t = go t rest in
-        match String.index_opt clause '=' with
-        | None -> (
-            match clause with
-            | "noop" -> continue { t with noop = true }
-            | _ -> clause_err clause "unknown fault (no '=' value)")
-        | Some i -> (
-            let name = String.sub clause 0 i in
-            let v = String.sub clause (i + 1) (String.length clause - i - 1) in
-            match name with
-            | "seed" ->
-                bind (int_of clause v ~min:0) (fun n ->
-                    continue { t with seed = n })
-            | "path-cap" ->
-                bind (int_of clause v ~min:0) (fun n ->
-                    continue { t with path_capacity = Some n })
-            | "edge-cap" ->
-                bind (int_of clause v ~min:0) (fun n ->
-                    continue { t with edge_capacity = Some n })
-            | "compile-fail" ->
-                bind (prob_of clause v) (fun p ->
-                    continue { t with compile_fail = p })
-            | "compile-retries" ->
-                bind (int_of clause v ~min:0) (fun n ->
-                    continue { t with compile_retries = n })
-            | "compile-backoff" ->
-                bind (int_of clause v ~min:1) (fun n ->
-                    continue { t with compile_backoff = n })
-            | "sample-overrun" ->
-                bind (prob_of clause v) (fun p ->
-                    continue { t with sample_overrun = p })
-            | "corrupt" ->
-                bind (prob_of clause v) (fun p -> continue { t with corrupt = p })
-            | "crash" ->
-                bind (prob_of clause v) (fun p -> continue { t with crash = p })
-            | "crash-restarts" ->
-                bind (int_of clause v ~min:0) (fun n ->
-                    continue { t with crash_restarts = n })
-            | "torn-write" ->
-                bind (prob_of clause v) (fun p ->
-                    continue { t with torn_write = p })
-            | "straggler" ->
-                bind (prob_of clause v) (fun p ->
-                    continue { t with straggler = p })
-            | "straggler-timeout" ->
-                bind (int_of clause v ~min:1) (fun n ->
-                    continue { t with straggler_timeout = n })
-            | "seg-corrupt" ->
-                bind (prob_of clause v) (fun p ->
-                    continue { t with seg_corrupt = p })
-            | "seg-retries" ->
-                bind (int_of clause v ~min:0) (fun n ->
-                    continue { t with seg_retries = n })
-            | _ -> clause_err clause "unknown fault"))
-  in
-  go empty clauses
-
-let split_spec spec =
-  (* commas and newlines both separate clauses; '#' comments to end of line *)
-  let uncommented =
-    String.concat "\n"
-      (List.map
-         (fun line ->
-           match String.index_opt line '#' with
-           | Some i -> String.sub line 0 i
-           | None -> line)
-         (String.split_on_char '\n' spec))
-  in
-  List.filter
-    (fun c -> c <> "")
-    (List.map String.trim
-       (List.concat_map (String.split_on_char ',')
-          (String.split_on_char '\n' uncommented)))
-
+(* Inline or from an [@file], a plan is lines of comma-separated
+   clauses. *)
 let parse spec =
   let spec = String.trim spec in
-  if String.length spec > 0 && spec.[0] = '@' then begin
-    let file = String.sub spec 1 (String.length spec - 1) in
-    match In_channel.with_open_text file In_channel.input_all with
-    | contents -> parse_clauses (split_spec contents)
-    | exception Sys_error m -> Error ("unreadable fault-plan file: " ^ m)
-  end
-  else parse_clauses (split_spec spec)
+  let text =
+    if String.starts_with ~prefix:"@" spec then
+      Spec.read_file (String.sub spec 1 (String.length spec - 1))
+    else Ok spec
+  in
+  Result.bind text (fun text ->
+      Spec.decode fields empty
+        (List.concat_map (fun (_, line) -> Spec.split ',' line) (Spec.lines text)))
 
 let parse_exn spec =
   match parse spec with
   | Ok t -> t
-  | Error reason -> invalid_arg ("Fault_plan.parse_exn: " ^ reason)
+  | Error e -> invalid_arg ("Fault_plan.parse_exn: " ^ Spec.error_to_string e)

@@ -10,7 +10,8 @@
     never from wall-clock time or I/O — so a faulted run is exactly as
     reproducible as a healthy one.
 
-    The spec is a comma-separated list of clauses:
+    The spec is a comma-separated list of clauses in the {!Spec}
+    grammar (a key given twice is rejected):
 
     {v
     seed=N               decision-stream seed (default 0)
@@ -31,8 +32,8 @@
     seg-retries=N        re-collection rounds (injection live) before a forced clean write (default 3)
     v}
 
-    A spec starting with [@] names a file holding clauses (one per line
-    or comma-separated; [#] comments allowed).  The empty spec is
+    Clauses may also be split across lines, with [#] comments; a spec
+    starting with [@] names a file holding them.  The empty spec is
     {!empty}: no injection machinery is created at all, and the run is
     bit-identical to a build without the fault subsystem.  The [noop]
     plan creates the full machinery but never fires — the cheap way to
@@ -77,16 +78,20 @@ val perturbs_execution : t -> bool
     plan must heal back to the exact healthy store. *)
 val perturbs_fleet : t -> bool
 
-(** Parse a spec string ([@file] indirection included).
-    [Error reason] pinpoints the offending clause. *)
-val parse : string -> (t, string) result
+(** Parse a spec string ([@file] indirection included); the error
+    names the offending clause. *)
+val parse : string -> (t, Spec.error) result
 
 (** {!parse}, raising [Invalid_argument] — for trusted callers
     (curated chaos plans). *)
 val parse_exn : string -> t
 
-(** Canonical compact rendering: [parse (key t)] round-trips, distinct
-    plans have distinct keys, and the key is stable for use inside
+(** Canonical compact rendering: empty when {!is_empty}, otherwise
+    the clauses that differ from {!empty} (retry, restart, timeout and
+    backoff knobs only next to the fault they qualify), probabilities
+    printed by {!Spec.float}.  [parse (key t)] gives back every clause
+    [key t] shows, plans that differ in a shown clause have distinct
+    keys, and the key is stable for use inside
     {!Exp_harness.config_key}-style cache identities. *)
 val key : t -> string
 

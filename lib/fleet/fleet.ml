@@ -22,6 +22,27 @@ module Drift = struct
   let key = function
     | No_drift -> "steady"
     | Phase_shift { at_window; phase } -> Fmt.str "shift@%d=%d" at_window phase
+
+  let of_key spec =
+    let reject axis value reason = Error { Spec.axis; value; reason } in
+    match String.index_opt spec '=' with
+    | None | Some 0 -> reject "cohort" spec "expected NAME=steady or NAME=shift@W=P"
+    | Some i -> (
+        let name = String.sub spec 0 i in
+        match String.sub spec (i + 1) (String.length spec - i - 1) with
+        | "" | "steady" -> Ok (name, No_drift)
+        | drift -> (
+            match String.split_on_char '=' drift with
+            | [ at; phase ] when String.starts_with ~prefix:"shift@" at -> (
+                let at = String.sub at 6 (String.length at - 6) in
+                match
+                  ( Spec.read ~axis:"shift window" (Spec.int ~lo:0 ()) at,
+                    Spec.read ~axis:"shift phase" (Spec.int ~lo:1 ()) phase )
+                with
+                | Ok at_window, Ok phase ->
+                    Ok (name, Phase_shift { at_window; phase })
+                | Error e, _ | _, Error e -> Error e)
+            | _ -> reject "drift" drift "expected steady or shift@W=P"))
 end
 
 module Cohort = struct

@@ -16,7 +16,13 @@ module Drift : sig
   (** The phase value in effect while collecting [window]. *)
   val phase : t -> window:int -> int
 
+  (** ["steady"] or ["shift@W=P"]. *)
   val key : t -> string
+
+  (** A cohort spec [NAME=DRIFT], [DRIFT] being {!key}'s output (or
+      empty, for steady): [of_key (name ^ "=" ^ key d) = Ok (name, d)]
+      for every non-empty [name] without ['=']. *)
+  val of_key : string -> (string * t, Spec.error) result
 end
 
 module Cohort : sig

@@ -323,55 +323,45 @@ let load_degraded ~dir =
 (* ---------------------------- save / load -------------------------- *)
 
 let save ?inject ~dir s =
-  let flat a = not (String.contains a '\n' || String.contains a '\r') in
-  if
-    not
-      (Array.for_all flat s.methods
-      && flat (Fleet.Cohort.key s.cohort))
-  then
-    Error
-      (err (filename ~dir s) "refusing to save: segment field contains a newline")
-  else begin
-    let file = filename ~dir s in
-    let base = Filename.basename file in
-    let bytes = encode s in
-    let intent () =
-      append_journal ~dir
-        (Fmt.str "W %s %s" base (Digest.to_hex (Digest.string bytes)))
-    in
-    match inject with
-    | None -> (
-        match intent () with
-        | Error _ as e -> e
-        | Ok () -> (
-            match Durable.write_file ~file bytes with
-            | Error _ as e -> e
-            | Ok () -> append_journal ~dir ("C " ^ base)))
-    | Some (`Torn draw) -> (
-        (* simulate dying mid-write: a strict prefix lands under the
-           final name, the commit record never does *)
-        match intent () with
-        | Error _ as e -> e
-        | Ok () -> (
-            let cut = 1 + (draw mod max 1 (String.length bytes - 1)) in
-            try
-              Out_channel.with_open_bin file (fun oc ->
-                  Out_channel.output_string oc (String.sub bytes 0 cut));
-              Ok ()
-            with Sys_error m -> Error (err file ("write failed: " ^ m))))
-    | Some (`Flip draw) -> (
-        (* the write completes (intent + commit) but a byte is flipped:
-           silent corruption only the digest check can see *)
-        match intent () with
-        | Error _ as e -> e
-        | Ok () -> (
-            let b = Bytes.of_string bytes in
-            let pos = draw mod Bytes.length b in
-            Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xFF));
-            match Durable.write_file ~file (Bytes.to_string b) with
-            | Error _ as e -> e
-            | Ok () -> append_journal ~dir ("C " ^ base)))
-  end
+  let file = filename ~dir s in
+  let base = Filename.basename file in
+  let bytes = encode s in
+  let intent () =
+    append_journal ~dir
+      (Fmt.str "W %s %s" base (Digest.to_hex (Digest.string bytes)))
+  in
+  match inject with
+  | None -> (
+      match intent () with
+      | Error _ as e -> e
+      | Ok () -> (
+          match Durable.write_file ~file bytes with
+          | Error _ as e -> e
+          | Ok () -> append_journal ~dir ("C " ^ base)))
+  | Some (`Torn draw) -> (
+      (* simulate dying mid-write: a strict prefix lands under the
+         final name, the commit record never does *)
+      match intent () with
+      | Error _ as e -> e
+      | Ok () -> (
+          let cut = 1 + (draw mod max 1 (String.length bytes - 1)) in
+          try
+            Out_channel.with_open_bin file (fun oc ->
+                Out_channel.output_string oc (String.sub bytes 0 cut));
+            Ok ()
+          with Sys_error m -> Error (err file ("write failed: " ^ m))))
+  | Some (`Flip draw) -> (
+      (* the write completes (intent + commit) but a byte is flipped:
+         silent corruption only the digest check can see *)
+      match intent () with
+      | Error _ as e -> e
+      | Ok () -> (
+          let b = Bytes.of_string bytes in
+          let pos = draw mod Bytes.length b in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xFF));
+          match Durable.write_file ~file (Bytes.to_string b) with
+          | Error _ as e -> e
+          | Ok () -> append_journal ~dir ("C " ^ base)))
 
 let compare_segments a b =
   compare

@@ -21,16 +21,12 @@
 
 type family = New_hot_path | Edge_shift | Caller_change
 
-let family_name = function
-  | New_hot_path -> "new-hot-path"
-  | Edge_shift -> "edge-shift"
-  | Caller_change -> "caller-change"
-
-let family_of_name = function
-  | "new-hot-path" -> Some New_hot_path
-  | "edge-shift" -> Some Edge_shift
-  | "caller-change" -> Some Caller_change
-  | _ -> None
+let families =
+  [
+    ("new-hot-path", New_hot_path);
+    ("edge-shift", Edge_shift);
+    ("caller-change", Caller_change);
+  ]
 
 let family_of_finding = function
   | Fleet_query.New_hot_path _ -> New_hot_path
@@ -46,121 +42,59 @@ type rule = {
   min_shift : float option;
 }
 
+let unnamed =
+  {
+    name = "";
+    cohort = None;
+    families = [];
+    persist = 1;
+    min_share = None;
+    min_shift = None;
+  }
+
 let default_rules ?(persist = 1) () =
+  [ { unnamed with name = "drift"; persist = max 1 persist } ]
+
+(* Everything after a rule's name, in the {!Spec} grammar; a clause
+   shows when it differs from [unnamed]. *)
+let clauses =
+  let open Spec in
+  let clause key v get set =
+    field ~shown:(fun r -> get r <> get unnamed) key v get set
+  in
   [
-    {
-      name = "drift";
-      cohort = None;
-      families = [];
-      persist = max 1 persist;
-      min_share = None;
-      min_shift = None;
-    };
+    clause "cohort" (some name) (fun r -> r.cohort) (fun r cohort -> { r with cohort });
+    clause "family"
+      (list (enum families))
+      (fun r -> r.families)
+      (fun r families -> { r with families });
+    clause "persist" (int ~lo:1 ())
+      (fun r -> r.persist)
+      (fun r persist -> { r with persist });
+    clause "min-share" (some fraction)
+      (fun r -> r.min_share)
+      (fun r min_share -> { r with min_share });
+    clause "min-shift" (some fraction)
+      (fun r -> r.min_shift)
+      (fun r min_shift -> { r with min_shift });
   ]
 
-let rule_to_line r =
-  let buf = Buffer.create 48 in
-  Buffer.add_string buf r.name;
-  let add fmt = Fmt.kstr (fun s -> Buffer.add_char buf ' '; Buffer.add_string buf s) fmt in
-  (match r.cohort with Some c -> add "cohort=%s" c | None -> ());
-  (match r.families with
-  | [] -> ()
-  | fams ->
-      add "family=%s" (String.concat "," (List.map family_name fams)));
-  if r.persist <> 1 then add "persist=%d" r.persist;
-  (match r.min_share with Some f -> add "min-share=%.12g" f | None -> ());
-  (match r.min_shift with Some f -> add "min-shift=%.12g" f | None -> ());
-  Buffer.contents buf
-
-let rule_err line reason = Error (Fmt.str "bad alert rule %S: %s" line reason)
+let rule_to_line r = String.concat " " (r.name :: Spec.encode clauses r)
 
 let parse_rule line =
-  match
-    List.filter (fun t -> t <> "") (String.split_on_char ' ' (String.trim line))
-  with
-  | [] -> rule_err line "empty rule"
-  | name :: opts ->
-      if String.contains name '=' then
-        rule_err line "first token must be the rule name"
-      else begin
-        let base =
-          {
-            name;
-            cohort = None;
-            families = [];
-            persist = 1;
-            min_share = None;
-            min_shift = None;
-          }
-        in
-        let rec go r = function
-          | [] -> Ok r
-          | opt :: rest -> (
-              match String.index_opt opt '=' with
-              | None -> rule_err line (Fmt.str "unknown option %S" opt)
-              | Some i -> (
-                  let k = String.sub opt 0 i in
-                  let v = String.sub opt (i + 1) (String.length opt - i - 1) in
-                  match k with
-                  | "cohort" -> go { r with cohort = Some v } rest
-                  | "family" -> (
-                      let names = String.split_on_char ',' v in
-                      match
-                        List.fold_left
-                          (fun acc n ->
-                            match (acc, family_of_name n) with
-                            | Ok fams, Some f -> Ok (fams @ [ f ])
-                            | Ok _, None -> Error n
-                            | (Error _ as e), _ -> e)
-                          (Ok []) names
-                      with
-                      | Ok fams -> go { r with families = fams } rest
-                      | Error n ->
-                          rule_err line (Fmt.str "unknown family %S" n))
-                  | "persist" -> (
-                      match int_of_string_opt v with
-                      | Some n when n >= 1 -> go { r with persist = n } rest
-                      | Some _ | None ->
-                          rule_err line "persist wants an integer >= 1")
-                  | "min-share" -> (
-                      match float_of_string_opt v with
-                      | Some f when f >= 0. && f <= 1. ->
-                          go { r with min_share = Some f } rest
-                      | Some _ | None ->
-                          rule_err line "min-share wants a fraction in [0,1]")
-                  | "min-shift" -> (
-                      match float_of_string_opt v with
-                      | Some f when f >= 0. && f <= 1. ->
-                          go { r with min_shift = Some f } rest
-                      | Some _ | None ->
-                          rule_err line "min-shift wants a fraction in [0,1]")
-                  | _ -> rule_err line (Fmt.str "unknown option %S" k)))
-        in
-        go base opts
-      end
+  match Spec.split ' ' line with
+  | name :: opts when not (String.contains name '=') ->
+      Spec.decode clauses { unnamed with name } opts
+  | _ ->
+      Error
+        {
+          Spec.axis = "rule";
+          value = line;
+          reason = "expected NAME followed by key=value clauses";
+        }
 
-let parse_rules text =
-  let lines = String.split_on_char '\n' text in
-  let rec go acc n = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-        let line =
-          match String.index_opt line '#' with
-          | Some i -> String.sub line 0 i
-          | None -> line
-        in
-        if String.trim line = "" then go acc (n + 1) rest
-        else
-          match parse_rule line with
-          | Ok r -> go (r :: acc) (n + 1) rest
-          | Error m -> Error (Fmt.str "line %d: %s" n m))
-  in
-  go [] 1 lines
-
-let load_rules file =
-  match In_channel.with_open_text file In_channel.input_all with
-  | contents -> parse_rules contents
-  | exception Sys_error m -> Error ("unreadable rules file: " ^ m)
+let parse_rules = Spec.map_lines parse_rule
+let load_rules file = Result.bind (Spec.read_file file) parse_rules
 
 (* ----------------------------- matching ---------------------------- *)
 

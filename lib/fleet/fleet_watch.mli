@@ -4,8 +4,9 @@
     ranges" once; the watch asks it continuously.  For each cohort the
     first [baseline_windows] windows form a fixed baseline aggregate;
     every later window is diffed against it and the resulting findings
-    are screened by a persisted rule set.  Three mechanisms keep the
-    alert stream operable:
+    are screened by a persisted rule set, written one rule per line in
+    the {!Spec} clause grammar ({!parse_rule}).  Three mechanisms keep
+    the alert stream operable:
 
     - {e hysteresis}: a finding must recur for [persist] consecutive
       windows before its rule fires;
@@ -20,8 +21,6 @@
 
 type family = New_hot_path | Edge_shift | Caller_change
 
-val family_name : family -> string
-val family_of_name : string -> family option
 val family_of_finding : Fleet_query.finding -> family
 
 type rule = {
@@ -36,21 +35,22 @@ type rule = {
 (** One catch-all rule named ["drift"] (all cohorts, all families). *)
 val default_rules : ?persist:int -> unit -> rule list
 
-(** Render a rule in the line grammar {!parse_rule} accepts
-    (round-trips). *)
+(** Render a rule in the line grammar {!parse_rule} accepts:
+    [parse_rule (rule_to_line r) = Ok r]. *)
 val rule_to_line : rule -> string
 
-(** Parse one rule line:
-    [NAME \[cohort=C\] \[family=F1,F2\] \[persist=N\] \[min-share=X\]
-    \[min-shift=X\]].  Families are [new-hot-path], [edge-shift],
-    [caller-change]. *)
-val parse_rule : string -> (rule, string) result
+(** Parse one rule line: [NAME], then space-separated {!Spec} clauses
+    [\[cohort=C\] \[family=F1,F2\] \[persist=N\] \[min-share=X\]
+    \[min-shift=X\]], each at most once.  Families are
+    [new-hot-path], [edge-shift], [caller-change]; shares and shifts
+    are fractions in [\[0, 1\]]. *)
+val parse_rule : string -> (rule, Spec.error) result
 
 (** Parse a rules file body: one rule per line, [#] comments and blank
-    lines ignored. *)
-val parse_rules : string -> (rule list, string) result
+    lines ignored; an error names its line. *)
+val parse_rules : string -> (rule list, Spec.error) result
 
-val load_rules : string -> (rule list, string) result
+val load_rules : string -> (rule list, Spec.error) result
 
 (** Does [finding] (seen in [cohort]) pass [rule]'s cohort, family and
     magnitude filters? *)

@@ -27,7 +27,9 @@ let resolve name =
       | Some w -> Ok w
       | None ->
           if Wgen.is_spec name then
-            Result.map_error Wgen.error_to_string (Wgen.resolve name)
+            Result.map_error
+              (fun e -> "gen spec: " ^ Spec.error_to_string e)
+              (Wgen.resolve name)
           else
             Error
               (Fmt.str

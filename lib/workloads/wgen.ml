@@ -49,88 +49,38 @@ let default =
     size = 60;
   }
 
-type error = { axis : string; value : string; reason : string }
-
-let error_to_string e =
-  Fmt.str "gen spec: axis %s = %s rejected: %s" e.axis e.value e.reason
-
-(* Axis table: name, getter, inclusive range.  One list drives
-   validation, printing and parsing, so the three cannot drift. *)
+(* Axis table: name, inclusive range, getter, setter.  One {!Spec}
+   table drives validation, printing and parsing, so the three cannot
+   drift. *)
 let axes =
+  let axis key lo hi get set = Spec.field key (Spec.int ~lo ~hi ()) get set in
   [
-    ("seed", (fun s -> s.seed), (fun s v -> { s with seed = v }), 0, 0x3FFFFFFF);
-    ("methods", (fun s -> s.methods), (fun s v -> { s with methods = v }), 1, 8);
-    ("bias", (fun s -> s.bias), (fun s v -> { s with bias = v }), 50, 99);
-    ("mega", (fun s -> s.mega), (fun s v -> { s with mega = v }), 0, 8);
-    ("depth", (fun s -> s.depth), (fun s v -> { s with depth = v }), 0, 16);
-    ("loops", (fun s -> s.loops), (fun s v -> { s with loops = v }), 0, 4);
-    ( "diamonds",
-      (fun s -> s.diamonds),
-      (fun s v -> { s with diamonds = v }),
-      0,
-      30 );
-    ("phases", (fun s -> s.phases), (fun s v -> { s with phases = v }), 1, 4);
-    ("tenants", (fun s -> s.tenants), (fun s v -> { s with tenants = v }), 1, 8);
-    ("burst", (fun s -> s.burst), (fun s v -> { s with burst = v }), 1, 32);
-    ("size", (fun s -> s.size), (fun s v -> { s with size = v }), 1, 1_000_000);
+    axis "seed" 0 0x3FFFFFFF (fun s -> s.seed) (fun s v -> { s with seed = v });
+    axis "methods" 1 8 (fun s -> s.methods) (fun s v -> { s with methods = v });
+    axis "bias" 50 99 (fun s -> s.bias) (fun s v -> { s with bias = v });
+    axis "mega" 0 8 (fun s -> s.mega) (fun s v -> { s with mega = v });
+    axis "depth" 0 16 (fun s -> s.depth) (fun s v -> { s with depth = v });
+    axis "loops" 0 4 (fun s -> s.loops) (fun s v -> { s with loops = v });
+    axis "diamonds" 0 30 (fun s -> s.diamonds) (fun s v -> { s with diamonds = v });
+    axis "phases" 1 4 (fun s -> s.phases) (fun s v -> { s with phases = v });
+    axis "tenants" 1 8 (fun s -> s.tenants) (fun s v -> { s with tenants = v });
+    axis "burst" 1 32 (fun s -> s.burst) (fun s v -> { s with burst = v });
+    axis "size" 1 1_000_000 (fun s -> s.size) (fun s v -> { s with size = v });
   ]
 
-let validate spec =
-  let rec go = function
-    | [] -> Ok ()
-    | (axis, get, _, lo, hi) :: rest ->
-        let v = get spec in
-        if v < lo || v > hi then
-          Error
-            {
-              axis;
-              value = string_of_int v;
-              reason = Fmt.str "out of range [%d, %d]" lo hi;
-            }
-        else go rest
-  in
-  go axes
-
 let prefix = "gen:"
-let is_spec name = String.length name >= 4 && String.sub name 0 4 = prefix
-
-let print spec =
-  prefix
-  ^ String.concat ","
-      (List.map (fun (k, get, _, _, _) -> Fmt.str "%s=%d" k (get spec)) axes)
+let is_spec name = String.starts_with ~prefix name
+let print spec = prefix ^ String.concat "," (Spec.encode axes spec)
 
 let parse name =
   if not (is_spec name) then
-    Error { axis = "spec"; value = name; reason = "expected a gen: prefix" }
+    Error { Spec.axis = "spec"; value = name; reason = "expected a gen: prefix" }
   else
-    let body = String.sub name 4 (String.length name - 4) in
-    let fields =
-      if body = "" then [] else String.split_on_char ',' body
-    in
-    let rec go seen spec = function
-      | [] -> ( match validate spec with Ok () -> Ok spec | Error e -> Error e)
-      | field :: rest -> (
-          match String.index_opt field '=' with
-          | None ->
-              Error { axis = "spec"; value = field; reason = "expected key=int" }
-          | Some i -> (
-              let k = String.sub field 0 i in
-              let vs =
-                String.sub field (i + 1) (String.length field - i - 1)
-              in
-              match List.find_opt (fun (k', _, _, _, _) -> k' = k) axes with
-              | None ->
-                  Error { axis = k; value = vs; reason = "unknown axis" }
-              | Some (_, _, set, _, _) -> (
-                  if List.mem k seen then
-                    Error { axis = k; value = vs; reason = "duplicate axis" }
-                  else
-                    match int_of_string_opt vs with
-                    | None ->
-                        Error { axis = k; value = vs; reason = "not an integer" }
-                    | Some v -> go (k :: seen) (set spec v) rest)))
-    in
-    go [] default fields
+    Spec.decode axes default
+      (Spec.split ',' (String.sub name 4 (String.length name - 4)))
+
+(* a spec is valid exactly when its printed form parses *)
+let validate spec = Result.map ignore (parse (print spec))
 
 (* ------------------------- traffic schedule ------------------------ *)
 
@@ -354,7 +304,7 @@ let describe spec =
 let workload spec =
   (match validate spec with
   | Ok () -> ()
-  | Error e -> invalid_arg (error_to_string e));
+  | Error e -> invalid_arg ("gen spec: " ^ Spec.error_to_string e));
   {
     Workload.name = print spec;
     description = describe spec;

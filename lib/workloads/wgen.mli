@@ -17,11 +17,11 @@
     windows.  A spec with [phases = 1] is its own no-drift twin — the
     structure is identical, the shift arms just never execute.
 
-    Specs have a canonical string form ([print]/[parse] are exact
-    inverses) used as the workload {e name}, so generated workloads are
-    first-class in every registry keyed by name: [Suite.resolve], the
-    run cache, the fleet store and the CLI all accept a ["gen:…"]
-    string wherever a workload name goes. *)
+    Specs have a canonical string form in the {!Spec} clause grammar
+    ([print]/[parse] are exact inverses) used as the workload {e name},
+    so generated workloads are first-class in every registry keyed by
+    name: [Suite.resolve], the run cache, the fleet store and the CLI
+    all accept a ["gen:…"] string wherever a workload name goes. *)
 
 type spec = {
   seed : int;  (** structural PRNG seed (program shape, constants) *)
@@ -43,25 +43,20 @@ type spec = {
 
 val default : spec
 
-(** Structured generation-time rejection: which axis, the offending
-    value, and why. *)
-type error = { axis : string; value : string; reason : string }
-
-val error_to_string : error -> string
-
-(** Every axis within its documented range. *)
-val validate : spec -> (unit, error) result
+(** Every axis within its documented range: the error a {!parse} of
+    [print spec] would give. *)
+val validate : spec -> (unit, Spec.error) result
 
 (** Canonical spec string, e.g.
     ["gen:seed=7,methods=3,bias=85,mega=4,depth=3,loops=2,diamonds=8,phases=2,tenants=2,burst=4,size=60"].
     Every field is printed, in this fixed order. *)
 val print : spec -> string
 
-(** Parse a spec string.  Omitted axes take their {!default}; unknown
-    or duplicate keys, malformed integers and out-of-range axes are
-    rejected with a structured {!error}.  [parse (print s) = Ok s] for
-    every valid spec. *)
-val parse : string -> (spec, error) result
+(** Parse a spec string: ["gen:"] and a {!Spec} clause list of
+    [axis=int].  Omitted axes take their {!default}; unknown or
+    duplicate keys, malformed integers and out-of-range axes are
+    rejected.  [parse (print s) = Ok s] for every valid spec. *)
+val parse : string -> (spec, Spec.error) result
 
 (** Whether a workload name is in the generator's namespace (starts
     with ["gen:"]). *)
@@ -73,7 +68,7 @@ val is_spec : string -> bool
 val workload : spec -> Workload.t
 
 (** [parse] + [validate] + [workload]. *)
-val resolve : string -> (Workload.t, error) result
+val resolve : string -> (Workload.t, Spec.error) result
 
 (** The canonical traffic schedule: the phase in effect at each of
     [windows] collection windows — phases are spread evenly, so a

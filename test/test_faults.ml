@@ -25,7 +25,8 @@ let test_parse_empty () =
   (match Fault_plan.parse "" with
   | Ok p ->
       check cb "empty spec is the empty plan" true (Fault_plan.is_empty p)
-  | Error m -> Alcotest.failf "empty spec rejected: %s" m);
+  | Error e ->
+      Alcotest.failf "empty spec rejected: %s" (Spec.error_to_string e));
   check cb "empty plan builds no injector" true
     (Option.is_none (Exp_harness.injector_of Exp_harness.default))
 
@@ -68,6 +69,15 @@ let test_parse_errors () =
       "bogus=1";
       "seed";
       "@/nonexistent/fault/plan/file";
+      (* one grammar: duplicates, flag values and trailing text *)
+      "seed=1,seed=2";
+      "noop,noop";
+      "noop=1";
+      "path-cap=4x";
+      "seed=0x10";
+      "compile-fail=0.5junk";
+      "compile-fail=nan";
+      "compile-backoff=0";
     ]
 
 let test_key_roundtrip () =
@@ -85,6 +95,77 @@ let test_key_roundtrip () =
       "seed=3,compile-fail=0.3,compile-retries=4,compile-backoff=20000";
       "seed=13,path-cap=8,compile-fail=0.2,sample-overrun=0.2,corrupt=0.5";
     ]
+
+(* Probabilities print exactly: a plan one ulp away from 0.3 is a
+   different plan with a different key, while the keys of plans whose
+   probabilities already printed exactly keep their bytes. *)
+let test_float_keys () =
+  let key spec = Fault_plan.key (Fault_plan.parse_exn spec) in
+  check Alcotest.string "0.1 unchanged" "compile-fail=0.1" (key "compile-fail=0.1");
+  check Alcotest.string "0.25 unchanged" "seed=2,corrupt=0.25"
+    (key "corrupt=0.25,seed=2");
+  check Alcotest.string "0.3 unchanged" "crash=0.3" (key "crash=0.3");
+  check Alcotest.string "0.30000000000000004 exact" "crash=0.30000000000000004"
+    (key "crash=0.30000000000000004");
+  check cb "0.3 and 0.1+0.2 differ" true
+    (key "compile-fail=0.3" <> key "compile-fail=0.30000000000000004")
+
+(* Any plan: parsing its key gives back exactly the clauses the key
+   shows, and every hidden knob at its [empty] value. *)
+let gen_plan st =
+  let open QCheck.Gen in
+  let prob () =
+    (oneof
+       [
+         return 0.;
+         return 1.;
+         float_range 0. 1.;
+         map (fun n -> float_of_int n /. 100.) (int_bound 100);
+       ])
+      st
+  in
+  let count lo = int_range lo 5000 st in
+  {
+    Fault_plan.seed = count 0;
+    noop = bool st;
+    path_capacity = opt (int_bound 5000) st;
+    edge_capacity = opt (int_bound 5000) st;
+    compile_fail = prob ();
+    compile_retries = count 0;
+    compile_backoff = count 1;
+    sample_overrun = prob ();
+    corrupt = prob ();
+    crash = prob ();
+    crash_restarts = count 0;
+    torn_write = prob ();
+    straggler = prob ();
+    straggler_timeout = count 1;
+    seg_corrupt = prob ();
+    seg_retries = count 0;
+  }
+
+let shown (p : Fault_plan.t) =
+  let e = Fault_plan.empty in
+  let unless_fault fault v d = if fault > 0. then v else d in
+  if Fault_plan.is_empty p then e
+  else
+    {
+      p with
+      compile_retries = unless_fault p.compile_fail p.compile_retries e.compile_retries;
+      compile_backoff = unless_fault p.compile_fail p.compile_backoff e.compile_backoff;
+      crash_restarts = unless_fault p.crash p.crash_restarts e.crash_restarts;
+      straggler_timeout =
+        unless_fault p.straggler p.straggler_timeout e.straggler_timeout;
+      seg_retries = unless_fault p.seg_corrupt p.seg_retries e.seg_retries;
+    }
+
+let prop_key_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"parse: parse (key p) = shown clauses of p"
+    (QCheck.make ~print:Fault_plan.key gen_plan)
+    (fun p ->
+      match Fault_plan.parse (Fault_plan.key p) with
+      | Ok p' -> p' = shown p && Fault_plan.key p' = Fault_plan.key p
+      | Error e -> QCheck.Test.fail_reportf "%s" (Spec.error_to_string e))
 
 let test_at_file () =
   let file = Filename.temp_file "pepsim-faults" ".plan" in
@@ -431,6 +512,8 @@ let suite =
     Alcotest.test_case "parse: perturbs_execution" `Quick test_perturbs;
     Alcotest.test_case "parse: errors" `Quick test_parse_errors;
     Alcotest.test_case "parse: key roundtrip" `Quick test_key_roundtrip;
+    Alcotest.test_case "parse: float keys are exact" `Quick test_float_keys;
+    QCheck_alcotest.to_alcotest prop_key_roundtrip;
     Alcotest.test_case "parse: @file" `Quick test_at_file;
     Alcotest.test_case "stream: deterministic" `Quick test_stream_deterministic;
     Alcotest.test_case "stream: noop never fires" `Quick test_noop_never_fires;

@@ -173,12 +173,24 @@ let test_segment_roundtrip () =
   | Ok r -> check ci "clean open heals nothing" 0 r.Fleet_store.healed
   | Error e -> Alcotest.failf "open: %a" Dcg.pp_parse_error e);
   let s = seg ~cohort_name:"a" ~window:2 ~origin:3 [ (0, 1, 42); (1, 9, 7) ] in
-  (match Fleet_store.save ~dir s with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save: %a" Dcg.pp_parse_error e);
+  (* the format length-prefixes every string: newlines are just bytes *)
+  let s_nl =
+    {
+      (seg ~cohort_name:"b\nc" ~window:2 ~origin:3 [ (0, 1, 5) ]) with
+      Fleet_store.methods = [| "al\npha"; "beta\r" |];
+    }
+  in
+  List.iter
+    (fun s ->
+      match Fleet_store.save ~dir s with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "save: %a" Dcg.pp_parse_error e)
+    [ s; s_nl ];
   match segments_of dir with
-  | [ s' ] -> check cb "roundtrip equal" true (s = s')
-  | l -> Alcotest.failf "expected 1 segment, got %d" (List.length l)
+  | [ s'; s_nl' ] ->
+      check cb "roundtrip equal" true (s = s');
+      check cb "newline fields roundtrip" true (s_nl = s_nl')
+  | l -> Alcotest.failf "expected 2 segments, got %d" (List.length l)
 
 let test_segment_tamper_rejected () =
   let dir = fresh_dir () in
@@ -205,12 +217,7 @@ let test_segment_junk_rejected () =
 
 let gen_segment =
   let open QCheck in
-  (* segment fields must be newline-free (the store refuses them) *)
-  let str =
-    map
-      (String.map (fun c -> if c = '\n' then '_' else c))
-      (string_gen_of_size (Gen.int_range 0 12) Gen.printable)
-  in
+  let str = string_gen_of_size (Gen.int_range 0 12) Gen.printable in
   let rows3 = small_list (triple small_nat small_nat small_nat) in
   let rows4 =
     small_list (quad small_nat small_nat small_nat small_nat)
@@ -574,7 +581,7 @@ let test_watch_degraded_annotation () =
 let test_watch_rule_grammar () =
   let line = "hot cohort=shift family=new-hot-path,edge-shift persist=3 min-share=0.05" in
   (match Fleet_watch.parse_rule line with
-  | Error m -> Alcotest.failf "parse_rule: %s" m
+  | Error e -> Alcotest.failf "parse_rule: %s" (Spec.error_to_string e)
   | Ok r ->
       check Alcotest.string "round-trips" line (Fleet_watch.rule_to_line r);
       check cb "families parsed" true
@@ -584,11 +591,103 @@ let test_watch_rule_grammar () =
     (fun bad ->
       check cb (Fmt.str "rejects %S" bad) true
         (Result.is_error (Fleet_watch.parse_rule bad)))
-    [ ""; "cohort=c"; "x persist=0"; "x family=bogus"; "x frob"; "x min-share=2" ];
-  match Fleet_watch.parse_rules "# standing rules\nhot cohort=w persist=2\n\ndrift\n" with
+    [
+      "";
+      "cohort=c";
+      "x persist=0";
+      "x family=bogus";
+      "x frob";
+      "x min-share=2";
+      (* duplicates, empty values and trailing text *)
+      "x persist=2 persist=3";
+      "x cohort=a cohort=b";
+      "x cohort=";
+      "x family=";
+      "x persist=2x";
+      "x min-share=0.5junk";
+      "x min-shift=nan";
+    ];
+  (match Fleet_watch.parse_rules "# standing rules\nhot cohort=w persist=2\n\ndrift\n" with
   | Ok [ _; _ ] -> ()
   | Ok l -> Alcotest.failf "expected 2 rules, got %d" (List.length l)
-  | Error m -> Alcotest.failf "parse_rules: %s" m
+  | Error e -> Alcotest.failf "parse_rules: %s" (Spec.error_to_string e));
+  match Fleet_watch.parse_rules "# rules\nok\n\nbad persist=0\n" with
+  | Error e ->
+      check Alcotest.string "error names the clause" "persist" e.Spec.axis;
+      check cb "and its line" true
+        (String.ends_with ~suffix:"(line 4)" e.Spec.reason)
+  | Ok _ -> Alcotest.fail "bad rules file accepted"
+
+let alnum =
+  QCheck.Gen.(
+    string_size ~gen:(oneof [ char_range 'a' 'z'; char_range '0' '9'; return '-' ])
+      (int_range 1 8))
+
+let prop_rule_roundtrip =
+  let fraction =
+    QCheck.Gen.(opt (oneof [ float_range 0. 1.; return 0.; return 1. ]))
+  in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((name, cohort, families), (persist, min_share, min_shift)) ->
+          { Fleet_watch.name; cohort; families; persist; min_share; min_shift })
+        (pair
+           (triple alnum (opt alnum)
+              (list_size (int_bound 3)
+                 (oneofl
+                    Fleet_watch.[ New_hot_path; Edge_shift; Caller_change ])))
+           (triple (int_range 1 1000) fraction fraction)))
+  in
+  QCheck.Test.make ~count:300 ~name:"watch rule: parse (print r) = r"
+    (QCheck.make ~print:Fleet_watch.rule_to_line gen)
+    (fun r -> Fleet_watch.parse_rule (Fleet_watch.rule_to_line r) = Ok r)
+
+(* The --cohort grammar: NAME=steady or NAME=shift@W=P, nothing else. *)
+let test_cohort_grammar () =
+  let ok spec expected =
+    match Fleet.Drift.of_key spec with
+    | Ok c -> check cb (spec ^ " parses") true (c = expected)
+    | Error e -> Alcotest.failf "%s rejected: %s" spec (Spec.error_to_string e)
+  in
+  ok "a=steady" ("a", Fleet.Drift.No_drift);
+  ok "a=" ("a", Fleet.Drift.No_drift);
+  ok "b=shift@2=1" ("b", Fleet.Drift.Phase_shift { at_window = 2; phase = 1 });
+  List.iter
+    (fun bad ->
+      check cb (Fmt.str "rejects %S" bad) true
+        (Result.is_error (Fleet.Drift.of_key bad)))
+    [
+      "=steady";
+      "steady";
+      "a=drifty";
+      "a=shift@1=1junk";
+      "a=shift@2=0_1";
+      "a=shift@1=0";
+      "a=shift@-1=1";
+      "a=shift@1";
+      "a=shift@1=1=2";
+      "a=shift@x=1";
+      "a=steady ";
+    ]
+
+let prop_drift_key_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      pair alnum
+        (oneof
+           [
+             return Fleet.Drift.No_drift;
+             map2
+               (fun at_window phase -> Fleet.Drift.Phase_shift { at_window; phase })
+               (int_bound 1000) (int_range 1 8);
+           ]))
+  in
+  QCheck.Test.make ~count:300 ~name:"cohort grammar: of_key (NAME=key d) = (NAME, d)"
+    (QCheck.make
+       ~print:(fun (n, d) -> n ^ "=" ^ Fleet.Drift.key d)
+       gen)
+    (fun (name, d) -> Fleet.Drift.of_key (name ^ "=" ^ Fleet.Drift.key d) = Ok (name, d))
 
 (* ----------------------------- suite ------------------------------ *)
 
@@ -639,4 +738,8 @@ let suite =
       test_watch_degraded_annotation;
     Alcotest.test_case "watch rule grammar round-trips" `Quick
       test_watch_rule_grammar;
+    qcheck prop_rule_roundtrip;
+    Alcotest.test_case "cohort grammar rejects malformed specs" `Quick
+      test_cohort_grammar;
+    qcheck prop_drift_key_roundtrip;
   ]

@@ -9,6 +9,7 @@ let () =
       ("numbering", Test_numbering.suite);
       ("dag-invariants", Test_dag_invariants.suite);
       ("blpp", Test_blpp.suite);
+      ("spec", Test_spec.suite);
       ("sampling", Test_sampling.suite);
       ("pep", Test_pep.suite);
       ("vm", Test_vm.suite);

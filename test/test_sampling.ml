@@ -83,7 +83,8 @@ let test_parse_round_trip () =
   let parses label expected text =
     match Sampling.parse text with
     | Ok c -> check config (label ^ ": " ^ text) expected c
-    | Error msg -> Alcotest.failf "%s: %S rejected: %s" label text msg
+    | Error e ->
+        Alcotest.failf "%s: %S rejected: %s" label text (Spec.error_to_string e)
   in
   List.iter
     (fun (label, c) ->
@@ -105,7 +106,36 @@ let test_parse_round_trip () =
     (fun bad ->
       check Alcotest.bool ("rejects " ^ bad) true
         (Result.is_error (Sampling.parse bad)))
-    [ "PEP(0,17)"; "pep:0:5"; "PEP(64)"; "PEP(64,17"; "XYZ(1,1)"; "ag:1:0"; "" ]
+    [
+      "PEP(0,17)";
+      "pep:0:5";
+      "PEP(64)";
+      "PEP(64,17";
+      "XYZ(1,1)";
+      "ag:1:0";
+      "";
+      (* trailing or non-decimal text *)
+      "PEP(64,17)x";
+      "pep:64:17x";
+      "PEP(64,1_7)";
+      "pep:0x10:1";
+      "PEP(64,17,1)";
+    ]
+
+let prop_parse_name =
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun kind samples stride ->
+          match kind with
+          | 0 -> Sampling.never
+          | 1 -> Sampling.pep ~samples ~stride
+          | _ -> Sampling.arnold_grove ~samples ~stride)
+        (int_bound 2) (int_range 1 100_000) (int_range 1 100_000))
+  in
+  QCheck.Test.make ~count:300 ~name:"parse (name c) = c, any config"
+    (QCheck.make ~print:Sampling.name gen)
+    (fun c -> Sampling.parse (Sampling.name c) = Ok c)
 
 let suite =
   [
@@ -117,4 +147,5 @@ let suite =
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "names" `Quick test_names;
     Alcotest.test_case "parse (name c) = c" `Quick test_parse_round_trip;
+    QCheck_alcotest.to_alcotest prop_parse_name;
   ]

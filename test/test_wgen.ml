@@ -6,7 +6,7 @@ let spec = Alcotest.testable (Fmt.of_to_string Wgen.print) ( = )
 
 let ok_or_fail = function
   | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected gen rejection: %s" (Wgen.error_to_string e)
+  | Error e -> Alcotest.failf "unexpected gen rejection: %s" (Spec.error_to_string e)
 
 (* QCheck generator over the valid axis space *)
 let gen_spec =
@@ -44,7 +44,7 @@ let qcheck ?(count = 100) name law =
 let prop_roundtrip s =
   match Wgen.parse (Wgen.print s) with
   | Ok s' -> s = s'
-  | Error e -> QCheck.Test.fail_reportf "rejected: %s" (Wgen.error_to_string e)
+  | Error e -> QCheck.Test.fail_reportf "rejected: %s" (Spec.error_to_string e)
 
 let test_parse_defaults () =
   let s = ok_or_fail (Wgen.parse "gen:seed=9,phases=3") in
@@ -58,21 +58,26 @@ let test_parse_rejects () =
   let reject str axis =
     match Wgen.parse str with
     | Ok _ -> Alcotest.failf "%s should be rejected" str
-    | Error e -> Alcotest.(check string) (str ^ " axis") axis e.Wgen.axis
+    | Error e -> Alcotest.(check string) (str ^ " axis") axis e.Spec.axis
   in
   reject "compress" "spec";
   reject "gen:bias=200" "bias";
   reject "gen:bias=85,bias=85" "bias";
   reject "gen:warp=3" "warp";
   reject "gen:seed=banana" "seed";
-  reject "gen:methods" "spec";
+  reject "gen:methods" "methods";
   reject "gen:diamonds=31" "diamonds";
-  reject "gen:phases=0" "phases"
+  reject "gen:phases=0" "phases";
+  (* trailing or non-decimal text after an integer *)
+  reject "gen:bias=85x" "bias";
+  reject "gen:seed=0x10" "seed";
+  reject "gen:seed=1_0" "seed";
+  reject "gen:seed= 7" "seed"
 
 let test_validate_matches_workload () =
   let bad = { Wgen.default with Wgen.bias = 12 } in
   (match Wgen.validate bad with
-  | Error e -> Alcotest.(check string) "axis" "bias" e.Wgen.axis
+  | Error e -> Alcotest.(check string) "axis" "bias" e.Spec.axis
   | Ok () -> Alcotest.fail "bias=12 should be rejected");
   match Wgen.workload bad with
   | exception Invalid_argument _ -> ()
@@ -197,7 +202,7 @@ let test_fleet_triage_gen () =
   let w =
     match Wgen.resolve "gen:seed=7,phases=3,diamonds=10" with
     | Ok w -> w
-    | Error e -> Alcotest.failf "resolve: %s" (Wgen.error_to_string e)
+    | Error e -> Alcotest.failf "resolve: %s" (Spec.error_to_string e)
   in
   let spec =
     Fleet_collector.default_spec ~size:30 ~seed:11 ~instances:2 ~windows:6
